@@ -2,7 +2,8 @@
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
 when a mathematical property was refuted (a sweep counterexample or a
-witness assertion failure), 2 on usage or input errors.
+witness assertion failure), 2 on usage or input errors and when a graph is
+too large for an exhaustive routine (the enumeration edge guard).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 from . import cover, sweep as sweep_mod
 from .cover import RefutationError
 from .graph import Graph, ParseError, parse_edge_list, parse_graph6, to_dot, to_graph6
-from .matching import Matching
+from .matching import GuardExceededError, Matching
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -138,29 +139,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.ingest is not None:
         if args.exhaustive or args.random:
             raise ValueError("--ingest cannot be combined with --exhaustive/--random")
+        if (args.max_n, args.n, args.p, args.samples, args.seed) != (None,) * 5:
+            raise ValueError("--max-n/--n/--p/--samples/--seed do not apply to --ingest")
         with open(args.ingest, "r", encoding="utf-8") as handle:
             graphs = list(sweep_mod.ingest_graph6_stream(handle))
         report = sweep_mod.sweep_graphs(graphs, properties, jobs=args.jobs)
     else:
         if args.exhaustive == args.random:
             raise ValueError("choose exactly one of --exhaustive or --random")
-        if args.exhaustive:
-            cfg = sweep_mod.SweepConfig(
-                mode=sweep_mod.EXHAUSTIVE_MODE,
-                properties=properties,
-                max_n=args.max_n,
-                jobs=args.jobs,
-            )
-        else:
-            cfg = sweep_mod.SweepConfig(
-                mode=sweep_mod.RANDOM_MODE,
-                properties=properties,
-                n=args.n,
-                edge_probability=args.p,
-                sample_count=args.samples,
-                seed=args.seed,
-                jobs=args.jobs,
-            )
+        # Flags of the other mode reach the config, which rejects them.
+        cfg = sweep_mod.SweepConfig(
+            mode=sweep_mod.EXHAUSTIVE_MODE if args.exhaustive else sweep_mod.RANDOM_MODE,
+            properties=properties,
+            max_n=args.max_n,
+            n=args.n,
+            edge_probability=args.p,
+            sample_count=args.samples,
+            seed=0 if args.random and args.seed is None else args.seed,
+            jobs=args.jobs,
+        )
         report = sweep_mod.run_sweep(cfg)
     _emit(report.to_payload())
     if report.total_failures:
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="random mode vertex count")
     p.add_argument("--p", type=float, default=None, help="random mode edge probability")
     p.add_argument("--samples", type=int, default=None, help="random mode sample count")
-    p.add_argument("--seed", type=int, default=0, help="random mode base seed")
+    p.add_argument("--seed", type=int, default=None, help="random mode base seed (default 0)")
     p.add_argument(
         "--properties",
         default=",".join(sweep_mod.PROPERTY_NAMES),
@@ -244,7 +241,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RefutationError as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return EXIT_REFUTED
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, GuardExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

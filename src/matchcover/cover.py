@@ -22,16 +22,18 @@ lexicographically so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .graph import (
     Edge,
     Graph,
+    _edge_of,
     delete_edge,
     distance_to_set,
     drop_isolated,
     edge,
     is_connected,
+    isolated_vertices,
     to_graph6,
 )
 from .matching import (
@@ -43,6 +45,7 @@ from .matching import (
     has_perfect_matching,
     matching_number,
     matchings_containing,
+    _covers_all,
     _matching_number_excluding,
 )
 
@@ -118,9 +121,7 @@ def is_allowed(g: Graph, e: tuple[int, int]) -> bool:
     Computed as ``nu(G - u - v) == nu(G) - 1``; two blossom runs, no
     enumeration.
     """
-    e = edge(*e)
-    if e not in g.edge_set:
-        raise ValueError(f"({e.u}, {e.v}) is not an edge of the graph")
+    e = _edge_of(g, e)
     return _is_allowed(g, e, matching_number(g))
 
 
@@ -160,11 +161,12 @@ def is_minimal_matching_covered(g: Graph) -> bool:
     The deletion test keeps the vertex set intact: the comparison is between
     ``G - e`` and its own core as graphs on the same vertices.
     """
-    return is_matching_covered(g) and _no_deletion_covered(g)
+    return is_matching_covered(g) and _no_deletion_covered(g, is_matching_covered)
 
 
-def _no_deletion_covered(g: Graph) -> bool:
-    return all(not is_matching_covered(delete_edge(g, e)) for e in g.edges)
+def _no_deletion_covered(g: Graph, covered: Callable[[Graph], bool]) -> bool:
+    # `covered` is the fast or the enumeration predicate: both routes share this loop.
+    return all(not covered(delete_edge(g, e)) for e in g.edges)
 
 
 def minimize(g: Graph) -> Graph:
@@ -188,17 +190,14 @@ def minimize_with_trace(
     vertices and each deletion step."""
     if not is_matching_covered(g):
         raise ValueError("minimize requires a matching covered graph")
-    initial = tuple(v for v in range(g.n) if not g.adjacency[v])
+    initial = isolated_vertices(g)
     g = drop_isolated(g)
     trace: list[DeletionStep] = []
     while True:
         for e in g.edges:
             smaller = delete_edge(g, e)
             if is_matching_covered(smaller):
-                isolated = tuple(
-                    v for v in range(smaller.n) if not smaller.adjacency[v]
-                )
-                trace.append(DeletionStep(e, isolated))
+                trace.append(DeletionStep(e, isolated_vertices(smaller)))
                 g = drop_isolated(smaller)
                 break
         else:
@@ -212,9 +211,7 @@ def mu(g: Graph, e: tuple[int, int], f: Matching) -> int | None:
     error) when ``f`` is perfect; ``None`` when no missed vertex is
     reachable from either endpoint.
     """
-    e = edge(*e)
-    if e not in g.edge_set:
-        raise ValueError(f"({e.u}, {e.v}) is not an edge of the graph")
+    e = _edge_of(g, e)
     _, missed = covered_and_missed(g, f)
     if not missed:
         raise ValueError("matching is perfect; no missed vertices to measure")
@@ -238,8 +235,7 @@ def lemma1_witness(g: Graph, e: tuple[int, int]) -> Matching:
     _require(is_connected(g), "graph must be connected")
     _require(is_matching_covered(g), "graph must be matching covered")
     _require(not has_perfect_matching(g), "graph must not have a perfect matching")
-    if e not in g.edge_set:
-        raise ValueError(f"({e.u}, {e.v}) is not an edge of the graph")
+    _edge_of(g, e)
     ms = enumerate_maximum_matchings(g)
     best: Matching | None = None
     best_mu: int | None = None
@@ -268,8 +264,7 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
     """
     e = edge(*e)
     _require(is_matching_covered(g), "graph must be matching covered")
-    if e not in g.edge_set:
-        raise ValueError(f"({e.u}, {e.v}) is not an edge of the graph")
+    _edge_of(g, e)
     smaller = delete_edge(g, e)
     nu = matching_number(smaller)
     dominated = None
@@ -340,14 +335,14 @@ def analyze(g: Graph) -> CoverReport:
     allowed = tuple(e for e in g.edges if _is_allowed(g, e, nu))
     disallowed = tuple(e for e in g.edges if e not in set(allowed))
     covered = not disallowed
-    minimal = covered and _no_deletion_covered(g)
+    minimal = covered and _no_deletion_covered(g, is_matching_covered)
     return CoverReport(
         nu=nu,
         allowed=allowed,
         disallowed=disallowed,
         is_matching_covered=covered,
         is_minimal_matching_covered=minimal,
-        has_perfect_matching=g.n % 2 == 0 and 2 * nu == g.n,
+        has_perfect_matching=_covers_all(g.n, nu),
     )
 
 

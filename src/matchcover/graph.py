@@ -238,11 +238,16 @@ def incident_edges(g: Graph, u: int) -> tuple[Edge, ...]:
     return tuple(e for e in g.edges if u in e)
 
 
-def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """Remove one edge; the vertex set is preserved."""
+def _edge_of(g: Graph, e: tuple[int, int]) -> Edge:
     e = edge(*e)
     if e not in g.edge_set:
         raise ValueError(f"({e.u}, {e.v}) is not an edge of the graph")
+    return e
+
+
+def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """Remove one edge; the vertex set is preserved."""
+    e = _edge_of(g, e)
     return Graph(g.n, tuple(x for x in g.edges if x != e))
 
 
@@ -268,9 +273,14 @@ def delete_vertices(g: Graph, drop: Iterable[int]) -> Graph:
     return Graph(len(relabel), edges)
 
 
+def isolated_vertices(g: Graph) -> tuple[int, ...]:
+    """The degree-0 vertices, ascending."""
+    return tuple(v for v in range(g.n) if not g.adjacency[v])
+
+
 def drop_isolated(g: Graph) -> Graph:
     """Remove degree-0 vertices, relabeling the rest by increasing index."""
-    isolated = [v for v in range(g.n) if not g.adjacency[v]]
+    isolated = isolated_vertices(g)
     return delete_vertices(g, isolated) if isolated else g
 
 

@@ -298,9 +298,14 @@ def covered_and_missed(g: Graph, f: Matching) -> tuple[frozenset[int], frozenset
 def is_perfect(g: Graph, f: Matching) -> bool:
     """True when ``f`` covers every vertex (vacuously true for n = 0)."""
     _check_binding(g, f)
-    return 2 * len(f.edges) == g.n
+    return _covers_all(g.n, len(f.edges))
 
 
 def has_perfect_matching(g: Graph) -> bool:
     """True when the maximum matching covers all vertices (n even, nu = n/2)."""
-    return g.n % 2 == 0 and 2 * matching_number(g) == g.n
+    return _covers_all(g.n, matching_number(g))
+
+
+def _covers_all(n: int, size: int) -> bool:
+    # A matching of `size` edges is perfect on n vertices; this forces n even.
+    return 2 * size == n

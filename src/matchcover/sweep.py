@@ -26,26 +26,29 @@ Properties:
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import Pool
 from typing import IO, Iterable, Iterator, Sequence
 
+from .cover import _no_deletion_covered
 from .cover import allowed_edges, allowed_edges_enumerated, is_matching_covered, mu
 from .graph import (
     Edge,
     Graph,
     ParseError,
     bipartition,
-    delete_edge,
     is_connected,
+    isolated_vertices,
     parse_graph6,
     to_graph6,
 )
 from .matching import (
     ENUMERATION_EDGE_LIMIT,
     MatchingSet,
+    _covers_all,
     brute_force_matching_number,
     enumerate_maximum_matchings,
     matching_number,
@@ -167,7 +170,11 @@ def ingest_graph6_stream(
 
 
 class _Facts:
-    """Lazily computed per-graph facts shared across property checks."""
+    """Lazily computed per-graph facts shared across property checks.
+
+    ``nu`` and ``_is_covered`` take the fast route here and the oracle route
+    in :class:`_OracleFacts`; every fact derived from them is shared.
+    """
 
     def __init__(self, g: Graph):
         self.g = g
@@ -175,6 +182,10 @@ class _Facts:
     @cached_property
     def nu(self) -> int:
         return matching_number(self.g)
+
+    @staticmethod
+    def _is_covered(g: Graph) -> bool:
+        return is_matching_covered(g)
 
     @cached_property
     def within_guard(self) -> bool:
@@ -186,21 +197,19 @@ class _Facts:
 
     @cached_property
     def covered(self) -> bool:
-        return is_matching_covered(self.g)
+        return self._is_covered(self.g)
 
     @cached_property
     def minimal_covered(self) -> bool:
-        return self.covered and all(
-            not is_matching_covered(delete_edge(self.g, e)) for e in self.g.edges
-        )
+        return self.covered and _no_deletion_covered(self.g, self._is_covered)
 
     @cached_property
     def perfect(self) -> bool:
-        return self.g.n % 2 == 0 and 2 * self.nu == self.g.n
+        return _covers_all(self.g.n, self.nu)
 
     @cached_property
     def no_isolated(self) -> bool:
-        return all(self.g.adjacency[v] for v in range(self.g.n))
+        return not isolated_vertices(self.g)
 
     @cached_property
     def ms(self) -> MatchingSet:
@@ -218,6 +227,18 @@ class _Facts:
             missing = covered_everywhere - f.covered_vertices()
             missed.update(missing)
         return frozenset(missed)
+
+
+class _OracleFacts(_Facts):
+    """The same facts with nu and allowed edges taken from enumeration only."""
+
+    @cached_property
+    def nu(self) -> int:
+        return brute_force_matching_number(self.g)
+
+    @staticmethod
+    def _is_covered(g: Graph) -> bool:
+        return set(allowed_edges_enumerated(g)) == set(g.edges)
 
 
 def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
@@ -289,55 +310,25 @@ _CHECKS = {
 }
 
 
-def _covered_by_enumeration(g: Graph) -> bool:
-    return set(allowed_edges_enumerated(g)) == set(g.edges)
-
-
 def _reverify_failure(g: Graph, prop: str) -> None:
     """Confirm a failure using only enumeration-based predicates.
 
     The fast predicates (blossom matching numbers, the nu-difference allowed
     test) decide class membership during the sweep; before a counterexample
-    is reported, class membership and the property itself are recomputed
-    from scratch with exhaustive enumeration.  A disagreement between the
-    two routes means the tool itself is broken, which is raised rather than
-    reported as a counterexample.
+    is reported, the same check is rerun from scratch on oracle-route facts,
+    so class membership and the property itself come from exhaustive
+    enumeration.  A disagreement between the two routes means the tool
+    itself is broken, which is raised rather than reported as a
+    counterexample.
     """
     if prop in ("oracle-nu", "oracle-allowed"):
         return  # these properties *are* route comparisons
-    if prop == "theorem":
-        in_class = (
-            bool(g.edges)
-            and all(g.adjacency[v] for v in range(g.n))
-            and _covered_by_enumeration(g)
-            and all(
-                not _covered_by_enumeration(delete_edge(g, e)) for e in g.edges
-            )
-        )
-        nu = brute_force_matching_number(g)
-        passed = g.n % 2 == 0 and 2 * nu == g.n
-    else:
-        covered = _covered_by_enumeration(g)
-        nu = brute_force_matching_number(g)
-        perfect = g.n % 2 == 0 and 2 * nu == g.n
-        if prop == "corollary":
-            in_class = is_connected(g) and covered and bipartition(g) is not None
-        else:
-            in_class = is_connected(g) and covered and not perfect
-        facts = _Facts(g)
-        _, passed = _CHECKS[prop](facts) if in_class else (False, True)
+    in_class, passed = _CHECKS[prop](_OracleFacts(g))
     if not in_class or passed:
         raise RuntimeError(
             f"fast path and enumeration oracle disagree on property "
             f"{prop!r} for graph {to_graph6(g)}"
         )
-
-
-def _evaluate_graph(
-    g: Graph, properties: Sequence[str]
-) -> dict[str, tuple[bool, bool]]:
-    facts = _Facts(g)
-    return {prop: _CHECKS[prop](facts) for prop in properties}
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +356,24 @@ class SweepConfig:
     jobs: int = 1
 
     def validated(self) -> "SweepConfig":
+        """This config with canonically ordered properties; ``ValueError`` on
+        a missing, out-of-range or other-mode field."""
         if self.mode not in (EXHAUSTIVE_MODE, RANDOM_MODE):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if not self.properties:
-            raise ValueError("at least one property is required")
-        unknown = [p for p in self.properties if p not in PROPERTY_NAMES]
-        if unknown:
-            raise ValueError(f"unknown properties {unknown}")
-        ordered = tuple(p for p in PROPERTY_NAMES if p in set(self.properties))
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        ordered = _checked_selection(self.properties, self.jobs)
         if self.mode == EXHAUSTIVE_MODE:
             if self.max_n is None or not 0 <= self.max_n <= MAX_EXHAUSTIVE_N:
                 raise ValueError(
                     f"exhaustive mode requires 0 <= max_n <= {MAX_EXHAUSTIVE_N}"
                 )
-            if self.edge_probability is not None or self.sample_count is not None:
+            random_only = (self.n, self.edge_probability, self.sample_count, self.seed)
+            if any(value is not None for value in random_only):
                 raise ValueError(
-                    "edge_probability/sample_count apply to random mode only"
+                    "n/edge_probability/sample_count/seed apply to random mode only"
                 )
         else:
+            if self.max_n is not None:
+                raise ValueError("max_n applies to exhaustive mode only")
             if self.n is None or self.n < 0:
                 raise ValueError("random mode requires a nonnegative n")
             if self.edge_probability is None or not 0 <= self.edge_probability <= 1:
@@ -393,16 +382,7 @@ class SweepConfig:
                 raise ValueError("random mode requires a nonnegative sample_count")
             if self.seed is None:
                 raise ValueError("random mode requires a seed")
-        return SweepConfig(
-            mode=self.mode,
-            properties=ordered,
-            max_n=self.max_n,
-            n=self.n,
-            edge_probability=self.edge_probability,
-            sample_count=self.sample_count,
-            seed=self.seed,
-            jobs=self.jobs,
-        )
+        return dataclasses.replace(self, properties=ordered)
 
 
 @dataclass(frozen=True)
@@ -459,7 +439,9 @@ def _tally_graphs(graphs: Iterable[Graph], properties: Sequence[str]) -> _Tally:
     population, in_class, passes, failures, best = _empty_tally(properties)
     for g in graphs:
         population += 1
-        for prop, (member, passed) in _evaluate_graph(g, properties).items():
+        facts = _Facts(g)
+        for prop in properties:
+            member, passed = _CHECKS[prop](facts)
             if not member:
                 continue
             in_class[prop] += 1
@@ -511,28 +493,51 @@ def _graphs_for_range(cfg: SweepConfig, lo: int, hi: int) -> Iterator[Graph]:
             yield random_graph(cfg.n, cfg.edge_probability, cfg.seed + i)
 
 
-def _sweep_chunk(args: tuple[SweepConfig, int, int]) -> _Tally:
-    cfg, lo, hi = args
-    return _tally_graphs(_graphs_for_range(cfg, lo, hi), cfg.properties)
+def _sweep_chunk(
+    args: tuple[SweepConfig | None, Sequence, tuple[str, ...]]
+) -> _Tally:
+    # A configured population travels as an index range, an explicit one as graphs.
+    cfg, items, properties = args
+    graphs = items if cfg is None else _graphs_for_range(cfg, items.start, items.stop)
+    return _tally_graphs(graphs, properties)
 
 
-def _chunk_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(total, jobs * 4))
-    step = -(-total // chunks)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _checked_selection(properties: Sequence[str], jobs: int) -> tuple[str, ...]:
+    """The properties in canonical order, once they and ``jobs`` are checked."""
+    if not properties:
+        raise ValueError("at least one property is required")
+    unknown = [p for p in properties if p not in PROPERTY_NAMES]
+    if unknown:
+        raise ValueError(f"unknown properties {unknown}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    return tuple(p for p in PROPERTY_NAMES if p in set(properties))
 
 
-def _report_from_tally(tally: _Tally, properties: Sequence[str],
-                       wall_time: float) -> SweepReport:
+def _sweep(
+    cfg: SweepConfig | None, items: Sequence, properties: Sequence[str], jobs: int
+) -> SweepReport:
+    """Sweep ``items``, which index ``cfg``'s population, or are the graphs
+    themselves when ``cfg`` is ``None``; both public sweeps end here."""
+    properties = _checked_selection(properties, jobs)
+    start = time.perf_counter()
+    total = len(items)
+    if jobs == 1 or total < 2:
+        tally = _sweep_chunk((cfg, items, properties))
+    else:
+        step = -(-total // min(total, jobs * 4))  # at most 4 chunks per worker
+        chunks = [(cfg, items[lo:lo + step], properties) for lo in range(0, total, step)]
+        with Pool(processes=jobs) as pool:
+            parts = pool.map(_sweep_chunk, chunks)
+        tally = _merge_tallies(parts, properties)
     population, in_class, passes, failures, best = tally
-    counterexample = None if best is None else (best[2], best[1])
     return SweepReport(
         population=population,
-        in_class={p: in_class[p] for p in properties},
-        passes={p: passes[p] for p in properties},
-        failures={p: failures[p] for p in properties},
-        first_counterexample=counterexample,
-        wall_time=wall_time,
+        in_class=in_class,
+        passes=passes,
+        failures=failures,
+        first_counterexample=None if best is None else (best[2], best[1]),
+        wall_time=time.perf_counter() - start,
     )
 
 
@@ -543,42 +548,11 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     counterexample are identical no matter how many workers run them.
     """
     cfg = cfg.validated()
-    start = time.perf_counter()
-    total = _population_size(cfg)
-    if cfg.jobs == 1 or total < 2:
-        tally = _sweep_chunk((cfg, 0, total))
-    else:
-        ranges = _chunk_ranges(total, cfg.jobs)
-        with Pool(processes=cfg.jobs) as pool:
-            parts = pool.map(_sweep_chunk, [(cfg, lo, hi) for lo, hi in ranges])
-        tally = _merge_tallies(parts, cfg.properties)
-    return _report_from_tally(tally, cfg.properties, time.perf_counter() - start)
+    return _sweep(cfg, range(_population_size(cfg)), cfg.properties, cfg.jobs)
 
 
 def sweep_graphs(
     graphs: Iterable[Graph], properties: Sequence[str], jobs: int = 1
 ) -> SweepReport:
     """Sweep an explicit population (e.g. an ingested graph6 stream)."""
-    ordered = tuple(p for p in PROPERTY_NAMES if p in set(properties))
-    unknown = [p for p in properties if p not in PROPERTY_NAMES]
-    if unknown:
-        raise ValueError(f"unknown properties {unknown}")
-    if not ordered:
-        raise ValueError("at least one property is required")
-    population = tuple(graphs)
-    start = time.perf_counter()
-    if jobs <= 1 or len(population) < 2:
-        tally = _tally_graphs(population, ordered)
-    else:
-        ranges = _chunk_ranges(len(population), jobs)
-        with Pool(processes=jobs) as pool:
-            parts = pool.starmap(
-                _tally_slice,
-                [(population[lo:hi], ordered) for lo, hi in ranges],
-            )
-        tally = _merge_tallies(parts, ordered)
-    return _report_from_tally(tally, ordered, time.perf_counter() - start)
-
-
-def _tally_slice(graphs: Sequence[Graph], properties: Sequence[str]) -> _Tally:
-    return _tally_graphs(graphs, properties)
+    return _sweep(None, tuple(graphs), properties, jobs)

@@ -9,7 +9,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from matchcover import cli
+from matchcover import cli, to_graph6
+
+from helpers import cycle_graph
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "schemas" / "report.json").read_text())
@@ -157,6 +159,16 @@ class TestWitness:
         styled = [line for line in dot.read_text().splitlines() if "[" in line]
         assert len(styled) == 2
 
+    def test_guard_exceeded_exits_2(self, capsys):
+        # C34 is minimal matching covered with 34 edges, over the 32-edge
+        # enumeration guard; that is a limit, not a refutation.
+        code, out, err = run_cli(
+            capsys, ["witness", "--graph6", to_graph6(cycle_graph(34))]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "32 edges" in err
+
 
 class TestSweep:
     def test_exhaustive_theorem(self, capsys):
@@ -212,6 +224,54 @@ class TestSweep:
         )
         assert code == 2
         assert "line 2" in err
+
+    def test_ingest_jobs_zero_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "pop.g6"
+        path.write_text("Cl\n")
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--ingest", str(path), "--properties", "theorem",
+             "--jobs", "0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "jobs" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--random", "--n", "4", "--p", "0.5", "--samples", "3",
+             "--max-n", "7"],
+            ["--exhaustive", "--max-n", "2", "--p", ".3", "--samples", "9"],
+            ["--exhaustive", "--max-n", "2", "--n", "4"],
+            ["--exhaustive", "--max-n", "2", "--seed", "0"],
+            ["--ingest", "POP", "--max-n", "3"],
+            ["--ingest", "POP", "--seed", "0"],
+            ["--ingest", "POP", "--n", "4", "--p", "0.5", "--samples", "3"],
+        ],
+    )
+    def test_flags_of_another_mode_exit_2(self, capsys, tmp_path, flags):
+        path = tmp_path / "pop.g6"
+        path.write_text("Cl\n")
+        argv = ["sweep"] + [str(path) if f == "POP" else f for f in flags]
+        code, out, err = run_cli(
+            capsys, argv + ["--properties", "theorem", "--jobs", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_random_seed_defaults_to_zero(self, capsys):
+        argv = ["sweep", "--random", "--n", "6", "--p", "0.5", "--samples", "20",
+                "--properties", "oracle-nu", "--jobs", "1"]
+        payloads = []
+        for extra in ([], ["--seed", "0"]):
+            code, out, _ = run_cli(capsys, argv + extra)
+            assert code == 0
+            payload = json.loads(out)
+            del payload["wall_time"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     def test_mode_required(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--properties", "theorem"])

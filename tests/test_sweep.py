@@ -17,11 +17,14 @@ from matchcover import (
     to_graph6,
 )
 from matchcover.sweep import (
+    _CHECKS,
     EXHAUSTIVE_MODE,
     RANDOM_MODE,
     SplitMix64,
     StreamParseError,
+    _Facts,
     _merge_tallies,
+    _OracleFacts,
 )
 
 from helpers import C4, K4
@@ -146,6 +149,45 @@ class TestConfigValidation:
                 max_n=3,
                 sample_count=10,
             ).validated()
+
+    @pytest.mark.parametrize("field", [{"n": 4}, {"seed": 0}, {"edge_probability": 0.5}])
+    def test_random_field_rejected_in_exhaustive(self, field):
+        with pytest.raises(ValueError, match="random mode only"):
+            SweepConfig(
+                mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=3, **field
+            ).validated()
+
+    def test_max_n_rejected_in_random(self):
+        with pytest.raises(ValueError, match="exhaustive mode only"):
+            SweepConfig(
+                mode=RANDOM_MODE,
+                properties=("oracle-nu",),
+                max_n=7,
+                n=5,
+                edge_probability=0.5,
+                sample_count=10,
+                seed=0,
+            ).validated()
+
+    def test_validated_keeps_every_field(self):
+        cfg = SweepConfig(
+            mode=RANDOM_MODE,
+            properties=("oracle-allowed", "oracle-nu"),
+            n=5,
+            edge_probability=0.5,
+            sample_count=10,
+            seed=3,
+            jobs=2,
+        )
+        assert cfg.validated() == SweepConfig(
+            mode=RANDOM_MODE,
+            properties=("oracle-nu", "oracle-allowed"),
+            n=5,
+            edge_probability=0.5,
+            sample_count=10,
+            seed=3,
+            jobs=2,
+        )
 
     def test_random_requires_probability(self):
         with pytest.raises(ValueError):
@@ -279,6 +321,10 @@ class TestSweepGraphs:
         with pytest.raises(ValueError):
             sweep_graphs([C4], ("nope",))
 
+    def test_jobs_zero_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_graphs([C4], ("theorem",), jobs=0)
+
     def test_parallel_explicit(self):
         graphs = list(enumerate_labeled_graphs(4))
         a = sweep_graphs(graphs, ("oracle-allowed",), jobs=1)
@@ -315,6 +361,19 @@ class TestCounterexampleReporting:
         with pytest.raises(RuntimeError, match="disagree"):
             _reverify_failure(C4, "theorem")
 
+    def test_reverify_reruns_the_sweep_check(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        # A check that fails every graph with an edge is confirmed on the
+        # oracle route too: the re-check runs the sweep's own check.
+        def always_fail(facts):
+            return (True, False) if facts.g.edges else (False, True)
+
+        monkeypatch.setitem(sweep_mod._CHECKS, "theorem", always_fail)
+        sweep_mod._reverify_failure(C4, "theorem")
+        with pytest.raises(RuntimeError, match="disagree"):
+            sweep_mod._reverify_failure(Graph(2), "theorem")
+
     def test_merge_takes_minimal_counterexample(self):
         props = ("theorem",)
         a = (5, {"theorem": 2}, {"theorem": 1}, {"theorem": 1}, (4, "Cl", "theorem"))
@@ -323,6 +382,17 @@ class TestCounterexampleReporting:
         assert merged[0] == 10
         assert merged[3] == {"theorem": 2}
         assert merged[4] == (2, "A_", "theorem")
+
+
+class TestRouteEquivalence:
+    @pytest.mark.parametrize("prop", ["theorem", "lemma1", "lemma2", "corollary"])
+    def test_fast_and_oracle_facts_agree(self, prop):
+        # Every labeled graph with n <= 5: 1 + 1 + 2 + 8 + 64 + 1024 = 1100.
+        graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+        assert len(graphs) == 1100
+        check = _CHECKS[prop]
+        for g in graphs:
+            assert check(_Facts(g)) == check(_OracleFacts(g)), to_graph6(g)
 
 
 class TestInterpretationGap:
