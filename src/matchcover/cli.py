@@ -2,8 +2,9 @@
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
 when a mathematical property was refuted (a sweep counterexample or a
-witness assertion failure), 2 on usage or input errors and when a graph is
-too large for an exhaustive routine (the enumeration edge guard).
+witness assertion failure), 2 on usage or input errors (input graphs with
+n > 62 are refused on loading) and when a graph is too large for an
+exhaustive routine (the enumeration edge guard).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 from . import cover, sweep as sweep_mod
 from .cover import RefutationError
-from .graph import Graph, ParseError, parse_edge_list, parse_graph6, to_dot, to_graph6
+from .graph import GRAPH6_MAX_N, Graph, ParseError, parse_edge_list, parse_graph6, to_dot, to_graph6
 from .matching import GuardExceededError, Matching
 
 EXIT_OK = 0
@@ -38,6 +39,14 @@ def _matching_lists(matchings: Sequence[Matching]) -> list[list[list[int]]]:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
+    g = _read_graph(args)
+    # Every reply echoes its input as graph6: refuse it before doing any work.
+    if g.n > GRAPH6_MAX_N:
+        raise ValueError(f"input graphs are limited to n <= {GRAPH6_MAX_N}, got n={g.n}")
+    return g
+
+
+def _read_graph(args: argparse.Namespace) -> Graph:
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.edges is not None:
@@ -51,6 +60,13 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         except ParseError:
             pass
     return parse_edge_list(text)
+
+
+def _default_jobs() -> int:
+    # A cpuset or affinity mask can leave fewer processors than os.cpu_count().
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _write_dot(path: str | None, g: Graph, highlight=()) -> None:
@@ -225,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: available processors)",
+        default=_default_jobs(),
+        help="worker processes (default: the processors this process may run on)",
     )
     p.set_defaults(func=cmd_sweep)
 

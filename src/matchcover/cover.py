@@ -7,8 +7,9 @@ when additionally deleting any single edge destroys that property.
 
 Two routes compute allowed-ness and are kept deliberately independent:
 
-* the fast path tests ``nu(G - u - v) == nu(G) - 1`` with two blossom runs,
-  which scales past the enumeration guard;
+* the fast path decides every edge from one blossom maximum matching plus at
+  most two single-root augmenting searches per edge (see
+  :func:`matching.allowed_verdicts`), which scales past the enumeration guard;
 * the oracle path takes the union of all enumerated maximum matchings.
 
 The witness operations replay the constructive arguments behind the covered
@@ -22,6 +23,7 @@ lexicographically so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from .graph import (
@@ -40,13 +42,13 @@ from .matching import (
     ENUMERATION_EDGE_LIMIT,
     Matching,
     MatchingSet,
+    allowed_verdicts,
     covered_and_missed,
     enumerate_maximum_matchings,
     has_perfect_matching,
     matching_number,
     matchings_containing,
     _covers_all,
-    _matching_number_excluding,
 )
 
 
@@ -118,21 +120,15 @@ class DeletionStep(NamedTuple):
 def is_allowed(g: Graph, e: tuple[int, int]) -> bool:
     """True when some maximum matching contains ``e``.
 
-    Computed as ``nu(G - u - v) == nu(G) - 1``; two blossom runs, no
-    enumeration.
+    Decided from one blossom maximum matching and at most two single-root
+    augmenting searches in ``G - u - v``; no enumeration.
     """
-    e = _edge_of(g, e)
-    return _is_allowed(g, e, matching_number(g))
-
-
-def _is_allowed(g: Graph, e: Edge, nu: int) -> bool:
-    return _matching_number_excluding(g, frozenset(e)) == nu - 1
+    return next(allowed_verdicts(g, (_edge_of(g, e),)))
 
 
 def allowed_edges(g: Graph) -> tuple[Edge, ...]:
     """All allowed edges, sorted (fast path)."""
-    nu = matching_number(g)
-    return tuple(e for e in g.edges if _is_allowed(g, e, nu))
+    return tuple(compress(g.edges, allowed_verdicts(g, g.edges)))
 
 
 def allowed_edges_enumerated(g: Graph) -> tuple[Edge, ...]:
@@ -151,8 +147,7 @@ def core_subgraph(g: Graph) -> Graph:
 
 def is_matching_covered(g: Graph) -> bool:
     """True when every edge is allowed; vacuously true for edgeless graphs."""
-    nu = matching_number(g)
-    return all(_is_allowed(g, e, nu) for e in g.edges)
+    return all(allowed_verdicts(g, g.edges))
 
 
 def is_minimal_matching_covered(g: Graph) -> bool:
@@ -266,12 +261,8 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
     _require(is_matching_covered(g), "graph must be matching covered")
     _edge_of(g, e)
     smaller = delete_edge(g, e)
-    nu = matching_number(smaller)
-    dominated = None
-    for cand in smaller.edges:
-        if not _is_allowed(smaller, cand, nu):
-            dominated = cand
-            break
+    verdicts = zip(smaller.edges, allowed_verdicts(smaller, smaller.edges))
+    dominated = next((cand for cand, ok in verdicts if not ok), None)
     if dominated is None:
         raise ValueError(
             f"deleting ({e.u}, {e.v}) leaves a matching covered graph; "
@@ -332,8 +323,9 @@ def shared_matching_set(g: Graph, ws: WitnessSequence) -> tuple[Matching, ...]:
 def analyze(g: Graph) -> CoverReport:
     """Compute the full allowed-edge report for one graph."""
     nu = matching_number(g)
-    allowed = tuple(e for e in g.edges if _is_allowed(g, e, nu))
-    disallowed = tuple(e for e in g.edges if e not in set(allowed))
+    verdicts = tuple(allowed_verdicts(g, g.edges))
+    allowed = tuple(compress(g.edges, verdicts))
+    disallowed = tuple(compress(g.edges, (not ok for ok in verdicts)))
     covered = not disallowed
     minimal = covered and _no_deletion_covered(g, is_matching_covered)
     return CoverReport(

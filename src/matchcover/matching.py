@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, edge
 
@@ -206,15 +206,30 @@ def matching_number(g: Graph) -> int:
     return sum(1 for v in range(g.n) if mate[v] >= 0) // 2
 
 
-def _matching_number_excluding(g: Graph, banned: frozenset[int]) -> int:
-    # Matching number of the subgraph with `banned` vertices removed,
-    # without constructing a relabeled Graph (hot path of the allowed test).
-    adj = tuple(
-        () if v in banned else tuple(w for w in g.adjacency[v] if w not in banned)
-        for v in range(g.n)
-    )
-    mate = _max_matching_mates(g.n, adj)
-    return sum(1 for v in range(g.n) if mate[v] >= 0) // 2
+def allowed_verdicts(g: Graph, edges: Iterable[Edge]) -> Iterator[bool]:
+    """Lazily, for each of ``edges`` (edges of ``g``), whether some maximum
+    matching contains it.
+
+    One maximum matching M decides every edge.  An edge of M is allowed, and
+    so is one with an endpoint M leaves uncovered (swap it in).  Otherwise uv
+    is allowed iff M without its edges at u and v has an augmenting path in
+    ``G - u - v``.  Such a path ends at mate(u) or mate(v), or it would
+    augment M too, so at most two single-root searches decide the edge.
+    """
+    n = g.n
+    mate = _max_matching_mates(n, g.adjacency)
+    # Pairing u and v with a sentinel vertex n that has no neighbors makes
+    # them dead ends for the unchanged search, which then runs in G - u - v.
+    adj = (*g.adjacency, ())
+    for u, v in edges:
+        a, b = mate[u], mate[v]
+        if a == v or a < 0 or b < 0:
+            yield True
+            continue
+        trial = mate + [-1]
+        trial[u] = trial[v] = n
+        trial[a] = trial[b] = -1
+        yield _augment_from(a, n + 1, adj, trial) or _augment_from(b, n + 1, adj, trial)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -170,7 +171,43 @@ class TestWitness:
         assert err.startswith("error:") and "32 edges" in err
 
 
+class TestInputLimits:
+    C64_EDGE_LIST = "64\n" + "".join(f"{u} {v}\n" for u, v in cycle_graph(64).edges)
+
+    @pytest.mark.parametrize("command", ["analyze", "core", "minimize", "witness"])
+    def test_more_than_62_vertices_exits_2_when_loaded(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        path = tmp_path / "c64.txt"
+        path.write_text(self.C64_EDGE_LIST)
+        # Any analysis after loading would fail on the missing module.
+        monkeypatch.setattr(cli, "cover", None)
+        code, out, err = run_cli(capsys, [command, "--edges", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "n <= 62" in err
+
+    def test_more_than_62_vertices_on_stdin_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(self.C64_EDGE_LIST))
+        monkeypatch.setattr(cli, "cover", None)
+        code, out, err = run_cli(capsys, ["analyze"])
+        assert code == 2
+        assert out == ""
+        assert "n <= 62, got n=64" in err
+
+
 class TestSweep:
+    def test_jobs_default_follows_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli.build_parser().parse_args(["sweep", "--exhaustive"]).jobs == 3
+
+    @pytest.mark.parametrize("cpus, jobs", [(5, 5), (None, 1)])
+    def test_jobs_default_without_affinity(self, monkeypatch, cpus, jobs):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.build_parser().parse_args(["sweep", "--exhaustive"]).jobs == jobs
+
     def test_exhaustive_theorem(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -5,6 +5,8 @@ is recomputed from the enumerated maximum matchings, and every witness is
 re-validated against the enumeration before comparing with the frozen value.
 """
 
+import random
+
 import pytest
 
 from matchcover import (
@@ -18,21 +20,25 @@ from matchcover import (
     allowed_edges_enumerated,
     core_subgraph,
     delete_edge,
+    enumerate_labeled_graphs,
     enumerate_maximum_matchings,
     find_dominated_edge,
     is_allowed,
     is_matching_covered,
     is_minimal_matching_covered,
     lemma1_witness,
+    matching_number,
     matchings_containing,
+    maximum_matching,
     minimize,
     minimize_with_trace,
     mu,
+    random_graph,
     theorem_witness_sequence,
 )
 from matchcover.cover import DeletionStep, shared_matching_set
 
-from helpers import C4, C6, K2, K3, K4, P3, P4, STAR3, TWO_K2
+from helpers import C4, C6, K2, K3, K4, P3, P4, STAR3, TWO_K2, path_graph
 
 
 class TestAllowed:
@@ -54,6 +60,90 @@ class TestAllowed:
     @pytest.mark.parametrize("g", [K2, P3, K3, P4, C4, K4, STAR3, C6, TWO_K2])
     def test_fast_route_agrees_with_enumeration(self, g):
         assert allowed_edges(g) == allowed_edges_enumerated(g)
+
+
+def covered_by_enumeration(g):
+    return allowed_edges_enumerated(g) == g.edges
+
+
+def minimal_by_enumeration(g):
+    return covered_by_enumeration(g) and not any(
+        covered_by_enumeration(delete_edge(g, e)) for e in g.edges
+    )
+
+
+class TestAllowedKernel:
+    """The fast route decides every edge from one maximum matching M."""
+
+    # Each edge's branch, given M = {01, 23}: in M; an endpoint left
+    # uncovered by M; the search from mate(u) succeeds; only the search from
+    # mate(v) succeeds; neither succeeds.
+    P5 = path_graph(5)
+    FORK = Graph(5, [(0, 1), (0, 4), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "g, e, allowed",
+        [
+            (P5, (0, 1), True),
+            (P5, (3, 4), True),
+            (FORK, (1, 2), True),
+            (P5, (1, 2), True),
+            (P4, (1, 2), False),
+        ],
+        ids=["in-matching", "uncovered-endpoint", "first-search",
+             "second-search-only", "both-searches-fail"],
+    )
+    def test_each_branch(self, g, e, allowed):
+        assert maximum_matching(g).edges == (Edge(0, 1), Edge(2, 3))
+        assert is_allowed(g, e) is allowed
+        assert (Edge(*e) in allowed_edges_enumerated(g)) is allowed
+
+    def test_all_graphs_up_to_five_vertices(self):
+        count = 0
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                assert allowed_edges(g) == allowed_edges_enumerated(g), g.edges
+                assert is_matching_covered(g) == covered_by_enumeration(g), g.edges
+                assert is_minimal_matching_covered(g) == minimal_by_enumeration(g), g.edges
+                count += 1
+        assert count == 1100
+
+    def test_minimal_on_covered_graphs_up_to_six_vertices(self):
+        covered = [
+            g
+            for n in range(7)
+            for g in enumerate_labeled_graphs(n)
+            if is_matching_covered(g)
+        ]
+        assert len(covered) == 9013
+        for g in covered:
+            assert is_minimal_matching_covered(g) == minimal_by_enumeration(g), g.edges
+
+    def test_networkx_above_the_enumeration_guard(self):
+        # Every edge of graphs with at most 100 edges, a seeded sample of 10
+        # on denser ones: networkx runs one matching per edge checked.
+        nx = pytest.importorskip("networkx")
+
+        def nx_nu(h):
+            return len(nx.max_weight_matching(h, maxcardinality=True))
+
+        rng = random.Random(3)
+        graphs = disallowed = 0
+        while graphs < 40:
+            n, p = rng.randint(12, 62), rng.uniform(0.05, 0.5)
+            g = random_graph(n, p, seed=rng.randrange(2**32))
+            if len(g.edges) <= 32:
+                continue
+            graphs += 1
+            h = nx.Graph(g.edges)
+            h.add_nodes_from(range(g.n))
+            nu = nx_nu(h)
+            assert matching_number(g) == nu, g.edges
+            checked = g.edges if len(g.edges) <= 100 else rng.sample(g.edges, 10)
+            expected = {e for e in checked if nx_nu(nx.restricted_view(h, e, [])) == nu - 1}
+            assert set(allowed_edges(g)) & set(checked) == expected, g.edges
+            disallowed += len(checked) - len(expected)
+        assert disallowed > 0
 
 
 class TestCoreSubgraph:
