@@ -4,7 +4,10 @@ JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
 when a mathematical property was refuted (a sweep counterexample or a
 witness assertion failure), 2 on usage or input errors (input graphs with
 n > 62 are refused on loading) and when a graph is too large for an
-exhaustive routine (the enumeration edge guard).
+exhaustive routine (the enumeration edge guard), 3 on an internal error
+(the fast route and the enumeration oracle disagree, or any other
+unexpected exception): an ``internal error:`` line and the traceback go to
+stderr, and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .matching import GuardExceededError, Matching
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def canonical_json(payload: dict) -> str:
@@ -260,6 +264,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValueError, OSError, GuardExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, e.g. sweep.RouteDisagreementError
+        import traceback  # only on this path, to keep start-up light
+
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

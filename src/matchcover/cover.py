@@ -10,21 +10,23 @@ Two routes compute allowed-ness and are kept deliberately independent:
 * the fast path decides every edge from one blossom maximum matching plus at
   most two single-root augmenting searches per edge (see
   :func:`matching.allowed_verdicts`), which scales past the enumeration guard;
-* the oracle path takes the union of all enumerated maximum matchings.
+* the oracle path reads them off one enumeration of all maximum matchings
+  (:attr:`matching.MatchingSet.allowed`, their union).
 
 The witness operations replay the constructive arguments behind the covered
 predicates: a maximum matching that misses an endpoint of any given edge, a
 dominated edge whose maximum matchings all contain the deleted one, and the
 edge sequence whose first repetition exhibits two distinct edges with
-identical maximum-matching sets.  All existential choices are resolved
-lexicographically so outputs are reproducible.
+identical maximum-matching sets.  The sequence enumerates its graph once and
+checks every step against that one set.  All existential choices are
+resolved lexicographically so outputs are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import (
     Edge,
@@ -134,10 +136,7 @@ def allowed_edges(g: Graph) -> tuple[Edge, ...]:
 def allowed_edges_enumerated(g: Graph) -> tuple[Edge, ...]:
     """All allowed edges via the enumeration oracle: the union of all
     maximum matchings."""
-    union: set[Edge] = set()
-    for f in enumerate_maximum_matchings(g):
-        union.update(f.edges)
-    return tuple(sorted(union))
+    return enumerate_maximum_matchings(g).allowed
 
 
 def core_subgraph(g: Graph) -> Graph:
@@ -160,8 +159,16 @@ def is_minimal_matching_covered(g: Graph) -> bool:
 
 
 def _no_deletion_covered(g: Graph, covered: Callable[[Graph], bool]) -> bool:
-    # `covered` is the fast or the enumeration predicate: both routes share this loop.
-    return all(not covered(delete_edge(g, e)) for e in g.edges)
+    return next(_covered_deletions(g, covered), None) is None
+
+
+def _covered_deletions(g: Graph, covered: Callable[[Graph], bool]) -> Iterator[tuple[Edge, Graph]]:
+    # In edge order, each (e, G - e) that `covered` (the fast or the
+    # enumeration predicate) accepts: the one deletion loop of both routes.
+    for e in g.edges:
+        smaller = delete_edge(g, e)
+        if covered(smaller):
+            yield e, smaller
 
 
 def minimize(g: Graph) -> Graph:
@@ -188,15 +195,11 @@ def minimize_with_trace(
     initial = isolated_vertices(g)
     g = drop_isolated(g)
     trace: list[DeletionStep] = []
-    while True:
-        for e in g.edges:
-            smaller = delete_edge(g, e)
-            if is_matching_covered(smaller):
-                trace.append(DeletionStep(e, isolated_vertices(smaller)))
-                g = drop_isolated(smaller)
-                break
-        else:
-            return g, initial, tuple(trace)
+    while (step := next(_covered_deletions(g, is_matching_covered), None)) is not None:
+        e, smaller = step
+        trace.append(DeletionStep(e, isolated_vertices(smaller)))
+        g = drop_isolated(smaller)
+    return g, initial, tuple(trace)
 
 
 def mu(g: Graph, e: tuple[int, int], f: Matching) -> int | None:
@@ -260,6 +263,12 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
     e = edge(*e)
     _require(is_matching_covered(g), "graph must be matching covered")
     _edge_of(g, e)
+    ms = enumerate_maximum_matchings(g) if len(g.edges) <= ENUMERATION_EDGE_LIMIT else None
+    return _dominated_edge(g, e, ms)
+
+
+def _dominated_edge(g: Graph, e: Edge, ms: MatchingSet | None) -> Edge:
+    # The fast candidate, checked for inclusion against ``ms`` when given.
     smaller = delete_edge(g, e)
     verdicts = zip(smaller.edges, allowed_verdicts(smaller, smaller.edges))
     dominated = next((cand for cand, ok in verdicts if not ok), None)
@@ -268,8 +277,7 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
             f"deleting ({e.u}, {e.v}) leaves a matching covered graph; "
             "no dominated edge need exist"
         )
-    if len(g.edges) <= ENUMERATION_EDGE_LIMIT:
-        ms = enumerate_maximum_matchings(g)
+    if ms is not None:
         inner = set(matchings_containing(ms, dominated))
         outer = set(matchings_containing(ms, e))
         if not inner <= outer:
@@ -287,21 +295,22 @@ def theorem_witness_sequence(g: Graph) -> WitnessSequence:
 
     Requires a minimal matching covered graph with at least one edge.  The
     step before the first repetition gives two distinct edges whose maximum-
-    matching sets coincide; the equality is asserted by enumeration and a
-    violation raises :class:`RefutationError`.
+    matching sets coincide.  One enumeration of the graph asserts every
+    step's inclusion and the final equality; a violation raises
+    :class:`RefutationError`.
     """
     _require(g.edges != (), "graph must have at least one edge")
     _require(is_minimal_matching_covered(g), "graph must be minimal matching covered")
+    ms = enumerate_maximum_matchings(g)
     sequence: list[Edge] = [g.edges[0]]
     positions: dict[Edge, int] = {g.edges[0]: 0}
     # Pigeonhole: a repeat must occur within |E| + 1 entries.
     while len(sequence) <= len(g.edges) + 1:
-        nxt = find_dominated_edge(g, sequence[-1])
+        nxt = _dominated_edge(g, sequence[-1], ms)
         sequence.append(nxt)
         if nxt in positions:
             repeat_i, repeat_j = positions[nxt], len(sequence) - 1
             pair = (sequence[-2], sequence[-1])
-            ms = enumerate_maximum_matchings(g)
             if matchings_containing(ms, pair[0]) != matchings_containing(ms, pair[1]):
                 raise RefutationError(
                     "equal-matching-set pair",

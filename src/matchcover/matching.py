@@ -2,10 +2,10 @@
 
 The fast path is the classic augmenting-path search with blossom contraction,
 exact on general graphs (bipartite-only methods would fail on K3, K4, and the
-other odd-structure graphs this library centers on).  The exhaustive
-backtracking routines are deliberately simple: they serve as the independent
-oracle the fast path is checked against, and as the definitional enumeration
-of all maximum matchings.
+other odd-structure graphs this library centers on).  The oracle is one
+deliberately simple backtracking enumeration of all maximum matchings, the
+independent route the fast path is checked against: its :class:`MatchingSet`
+carries both the matching number and the allowed edges (their union).
 
 Everything is deterministic: vertices and neighbors are scanned in increasing
 order, so repeated runs and parallel schedules produce identical results.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, edge
@@ -87,18 +88,15 @@ class MatchingSet:
     def __iter__(self):
         return iter(self.matchings)
 
+    @cached_property
+    def allowed(self) -> tuple[Edge, ...]:
+        """The allowed edges, sorted: the union of all the maximum matchings."""
+        return tuple(sorted({e for f in self.matchings for e in f.edges}))
+
 
 def _check_binding(g: Graph, f: Matching) -> None:
     if f.fingerprint != g.fingerprint:
         raise BindingError("matching is bound to a different graph")
-
-
-def _check_guard(g: Graph) -> None:
-    if len(g.edges) > ENUMERATION_EDGE_LIMIT:
-        raise GuardExceededError(
-            f"exhaustive search limited to {ENUMERATION_EDGE_LIMIT} edges, "
-            f"graph has {len(g.edges)}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def allowed_verdicts(g: Graph, edges: Iterable[Edge]) -> Iterator[bool]:
 # ---------------------------------------------------------------------------
 
 
-def _scan_matchings(g: Graph, collect: bool) -> tuple[int, list[tuple[Edge, ...]]]:
+def _scan_matchings(g: Graph) -> tuple[int, list[tuple[Edge, ...]]]:
     # Visit every matching once, branching on the lowest undecided vertex:
     # leave it unmatched, or pair it with a free higher neighbor.
     n = g.n
@@ -255,8 +253,8 @@ def _scan_matchings(g: Graph, collect: bool) -> tuple[int, list[tuple[Edge, ...]
             size = len(chosen)
             if size > best_size:
                 best_size = size
-                best = [tuple(chosen)] if collect else [()]
-            elif collect and size == best_size:
+                best = [tuple(chosen)]
+            elif size == best_size:
                 best.append(tuple(chosen))
             return
         extend(v + 1)
@@ -275,16 +273,18 @@ def _scan_matchings(g: Graph, collect: bool) -> tuple[int, list[tuple[Edge, ...]
 
 
 def brute_force_matching_number(g: Graph) -> int:
-    """Maximum matching cardinality by exhaustive backtracking (the oracle)."""
-    _check_guard(g)
-    size, _ = _scan_matchings(g, collect=False)
-    return size
+    """Maximum matching cardinality by exhaustive enumeration (the oracle)."""
+    return enumerate_maximum_matchings(g).nu
 
 
 def enumerate_maximum_matchings(g: Graph) -> MatchingSet:
     """All maximum matchings, sorted; the empty matching when the graph is edgeless."""
-    _check_guard(g)
-    nu, raw = _scan_matchings(g, collect=True)
+    if len(g.edges) > ENUMERATION_EDGE_LIMIT:
+        raise GuardExceededError(
+            f"exhaustive search limited to {ENUMERATION_EDGE_LIMIT} edges, "
+            f"graph has {len(g.edges)}"
+        )
+    nu, raw = _scan_matchings(g)
     matchings = tuple(sorted(Matching(edges, g.fingerprint) for edges in raw))
     return MatchingSet(g, matchings, nu)
 

@@ -49,7 +49,6 @@ from .matching import (
     ENUMERATION_EDGE_LIMIT,
     MatchingSet,
     _covers_all,
-    brute_force_matching_number,
     enumerate_maximum_matchings,
     matching_number,
 )
@@ -76,6 +75,13 @@ class StreamParseError(ParseError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class RouteDisagreementError(RuntimeError):
+    """The fast route and the enumeration oracle disagree: the tool is broken.
+
+    Takes only its message, so it pickles back from sweep workers intact.
+    """
 
 
 class SplitMix64:
@@ -221,12 +227,8 @@ class _Facts:
 
     @cached_property
     def missed_by_some(self) -> frozenset[int]:
-        covered_everywhere = set(range(self.g.n))
-        missed: set[int] = set()
-        for f in self.ms:
-            missing = covered_everywhere - f.covered_vertices()
-            missed.update(missing)
-        return frozenset(missed)
+        everyone = frozenset(range(self.g.n))
+        return frozenset().union(*(everyone - f.covered_vertices() for f in self.ms))
 
 
 class _OracleFacts(_Facts):
@@ -234,11 +236,15 @@ class _OracleFacts(_Facts):
 
     @cached_property
     def nu(self) -> int:
-        return brute_force_matching_number(self.g)
+        return self.ms.nu
+
+    @cached_property
+    def covered(self) -> bool:
+        return self.ms.allowed == self.g.edges
 
     @staticmethod
     def _is_covered(g: Graph) -> bool:
-        return set(allowed_edges_enumerated(g)) == set(g.edges)
+        return allowed_edges_enumerated(g) == g.edges
 
 
 def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
@@ -253,26 +259,16 @@ def _check_lemma1(facts: _Facts) -> tuple[bool, bool]:
     if not in_class:
         return False, True
     g = facts.g
-    for e in g.edges:
-        # mu values are nonnegative, so min == 0 iff some matching scores 0.
-        if not any(mu(g, e, f) == 0 for f in facts.ms):
-            return True, False
-    return True, True
+    # mu values are nonnegative, so min == 0 iff some matching scores 0.
+    return True, all(any(mu(g, e, f) == 0 for f in facts.ms) for e in g.edges)
 
 
 def _check_lemma2(facts: _Facts) -> tuple[bool, bool]:
     in_class = facts.connected and facts.covered and not facts.perfect
     if not in_class:
         return False, True
-    seen: dict[tuple[int, ...], Edge] = {}
-    for e in facts.g.edges:
-        key = tuple(
-            i for i, f in enumerate(facts.ms) if e in f
-        )
-        if key in seen:
-            return True, False
-        seen[key] = e
-    return True, True
+    keys = [tuple(i for i, f in enumerate(facts.ms) if e in f) for e in facts.g.edges]
+    return True, len(set(keys)) == len(keys)
 
 
 def _check_corollary(facts: _Facts) -> tuple[bool, bool]:
@@ -282,22 +278,19 @@ def _check_corollary(facts: _Facts) -> tuple[bool, bool]:
     missed = facts.missed_by_some
     # The bipartition is an unordered pair, so the implication is checked
     # on both parts.
-    for part in facts.parts:
-        if part & missed and not part <= missed:
-            return True, False
-    return True, True
+    return True, all(part <= missed for part in facts.parts if part & missed)
 
 
 def _check_oracle_nu(facts: _Facts) -> tuple[bool, bool]:
     if not facts.within_guard:
         return False, True
-    return True, facts.nu == brute_force_matching_number(facts.g)
+    return True, facts.nu == facts.ms.nu
 
 
 def _check_oracle_allowed(facts: _Facts) -> tuple[bool, bool]:
     if not facts.within_guard:
         return False, True
-    return True, allowed_edges(facts.g) == allowed_edges_enumerated(facts.g)
+    return True, allowed_edges(facts.g) == facts.ms.allowed
 
 
 _CHECKS = {
@@ -313,19 +306,19 @@ _CHECKS = {
 def _reverify_failure(g: Graph, prop: str) -> None:
     """Confirm a failure using only enumeration-based predicates.
 
-    The fast predicates (blossom matching numbers, the nu-difference allowed
-    test) decide class membership during the sweep; before a counterexample
-    is reported, the same check is rerun from scratch on oracle-route facts,
-    so class membership and the property itself come from exhaustive
+    The fast predicates (blossom matching numbers, the allowed-edge kernel)
+    decide class membership during the sweep; before a counterexample is
+    reported, the same check is rerun from scratch on oracle-route facts, so
+    class membership and the property itself come from exhaustive
     enumeration.  A disagreement between the two routes means the tool
-    itself is broken, which is raised rather than reported as a
-    counterexample.
+    itself is broken, which is raised as :class:`RouteDisagreementError`
+    rather than reported as a counterexample.
     """
     if prop in ("oracle-nu", "oracle-allowed"):
         return  # these properties *are* route comparisons
     in_class, passed = _CHECKS[prop](_OracleFacts(g))
     if not in_class or passed:
-        raise RuntimeError(
+        raise RouteDisagreementError(
             f"fast path and enumeration oracle disagree on property "
             f"{prop!r} for graph {to_graph6(g)}"
         )

@@ -1,6 +1,6 @@
-"""Fixture graphs shared across the test modules."""
+"""Fixture graphs and probes shared across the test modules."""
 
-from matchcover import Graph
+from matchcover import Graph, matching
 
 
 def complete_graph(n: int) -> Graph:
@@ -28,3 +28,16 @@ K4 = complete_graph(4)
 STAR3 = star_graph(3)
 C6 = cycle_graph(6)
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
+
+
+def count_scans(monkeypatch) -> list[Graph]:
+    """Record every graph the enumeration oracle scans from now on."""
+    scanned: list[Graph] = []
+    original = matching._scan_matchings
+
+    def counting(g, *args, **kwargs):
+        scanned.append(g)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(matching, "_scan_matchings", counting)
+    return scanned

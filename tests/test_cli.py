@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -351,6 +352,37 @@ class TestSweep:
             "graph6": "A_",
         }
         assert "counterexample" in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_route_disagreement_exits_3(self, capsys, monkeypatch, jobs):
+        from matchcover import sweep as sweep_mod
+
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches workers only through fork")
+        # A wrong fast nu makes the oracle re-verification disagree.
+        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: 0)
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--exhaustive", "--max-n", "4",
+             "--properties", "theorem", "--jobs", jobs],
+        )
+        assert code == 3
+        assert out == ""
+        assert "internal error:" in err
+        assert "RouteDisagreementError" in err  # the traceback follows
+
+    def test_any_escaping_exception_exits_3(self, capsys, monkeypatch):
+        def broken(g):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli.cover, "analyze", broken)
+        code, out, err = run_cli(capsys, ["analyze", "--graph6", "Cl"])
+        assert code == 3
+        assert out == ""
+        assert "internal error: division by zero" in err
+        assert "Traceback" in err
 
 
 class TestEntryPoints:

@@ -12,6 +12,7 @@ import pytest
 from matchcover import (
     Edge,
     Graph,
+    GuardExceededError,
     Matching,
     RefutationError,
     WitnessSequence,
@@ -38,7 +39,7 @@ from matchcover import (
 )
 from matchcover.cover import DeletionStep, shared_matching_set
 
-from helpers import C4, C6, K2, K3, K4, P3, P4, STAR3, TWO_K2, path_graph
+from helpers import C4, C6, K2, K3, K4, P3, P4, STAR3, TWO_K2, count_scans, cycle_graph, path_graph
 
 
 class TestAllowed:
@@ -321,6 +322,22 @@ class TestDominatedEdge:
 
 
 class TestWitnessSequence:
+    @pytest.mark.parametrize("g", [C6, K4], ids=["C6", "K4"])
+    def test_enumerates_the_graph_once(self, g, monkeypatch):
+        scanned = count_scans(monkeypatch)
+        theorem_witness_sequence(g)
+        assert scanned == [g]
+
+    def test_guard_is_checked_before_the_walk(self, monkeypatch):
+        from matchcover import cover
+
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(cover, "_dominated_edge", no_walk)
+        with pytest.raises(GuardExceededError):
+            theorem_witness_sequence(cycle_graph(34))  # 34 edges
+
     def test_cycle_trace(self):
         ws = theorem_witness_sequence(C4)
         assert ws.edges == (Edge(0, 1), Edge(2, 3), Edge(0, 1))

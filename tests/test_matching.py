@@ -95,6 +95,11 @@ class TestEnumeration:
         assert ms.nu == 0
         assert [f.edges for f in ms] == [()]
 
+    def test_allowed_is_the_sorted_union(self):
+        assert enumerate_maximum_matchings(P4).allowed == (Edge(0, 1), Edge(2, 3))
+        assert enumerate_maximum_matchings(K3).allowed == K3.edges
+        assert enumerate_maximum_matchings(Graph(2)).allowed == ()
+
     def test_members_are_valid_and_sorted(self):
         ms = enumerate_maximum_matchings(K4)
         assert len(ms) == 3

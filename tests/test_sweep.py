@@ -20,6 +20,7 @@ from matchcover.sweep import (
     _CHECKS,
     EXHAUSTIVE_MODE,
     RANDOM_MODE,
+    RouteDisagreementError,
     SplitMix64,
     StreamParseError,
     _Facts,
@@ -27,7 +28,7 @@ from matchcover.sweep import (
     _OracleFacts,
 )
 
-from helpers import C4, K4
+from helpers import C4, K4, count_scans
 
 
 class TestLabeledEnumeration:
@@ -382,6 +383,59 @@ class TestCounterexampleReporting:
         assert merged[0] == 10
         assert merged[3] == {"theorem": 2}
         assert merged[4] == (2, "A_", "theorem")
+
+
+class TestOneEnumerationPerGraph:
+    def test_oracle_sweep_scans_each_graph_once(self, monkeypatch):
+        scanned = count_scans(monkeypatch)
+        report = run_sweep(
+            SweepConfig(
+                mode=RANDOM_MODE,
+                properties=("oracle-nu", "oracle-allowed"),
+                n=7,
+                edge_probability=0.4,
+                sample_count=40,
+                seed=3,
+            )
+        )
+        # n = 7 has at most 21 edges, so every graph is within the guard.
+        assert report.in_class == {"oracle-nu": 40, "oracle-allowed": 40}
+        assert report.total_failures == 0
+        assert len(scanned) == 40
+
+    def test_reverify_enumerates_the_graph_once(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        # A fast nu of 0 makes C4 fail the theorem; the oracle re-check then
+        # disagrees.  C4 itself is enumerated once, each C4 - e once.
+        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: 0)
+        scanned = count_scans(monkeypatch)
+        with pytest.raises(RouteDisagreementError, match="disagree"):
+            sweep_graphs([C4], ("theorem",))
+        assert scanned.count(C4) == 1
+        assert len(scanned) == 1 + len(C4.edges)
+
+
+class TestOracleChecksCatchTheFastRoute:
+    # Every labeled graph with n <= 4: 1 + 1 + 2 + 8 + 64 = 76, 5 of them edgeless.
+    CFG = dict(mode=EXHAUSTIVE_MODE, max_n=4)
+
+    def test_wrong_matching_number_fails_oracle_nu(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        fast = sweep_mod.matching_number
+        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: fast(g) + 1)
+        report = run_sweep(SweepConfig(properties=("oracle-nu",), **self.CFG))
+        assert report.failures["oracle-nu"] == report.in_class["oracle-nu"] == 76
+
+    def test_missing_allowed_edge_fails_oracle_allowed(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        fast = sweep_mod.allowed_edges
+        monkeypatch.setattr(sweep_mod, "allowed_edges", lambda g: fast(g)[:-1])
+        report = run_sweep(SweepConfig(properties=("oracle-allowed",), **self.CFG))
+        # Every graph with an edge has an allowed edge to drop.
+        assert report.failures["oracle-allowed"] == 76 - 5
 
 
 class TestRouteEquivalence:
