@@ -1,13 +1,15 @@
 """Command-line interface: analysis, minimization, witnesses, and sweeps.
 
+The four graph commands are rows of one table, run by one runner: load the
+graph, compute, print the JSON reply, then write the optional DOT file.
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
 when a mathematical property was refuted (a sweep counterexample or a
-witness assertion failure), 2 on usage or input errors (input graphs with
-n > 62 are refused on loading) and when a graph is too large for an
-exhaustive routine (the enumeration edge guard), 3 on an internal error
-(the fast route and the enumeration oracle disagree, or any other
-unexpected exception): an ``internal error:`` line and the traceback go to
-stderr, and nothing to stdout.
+witness assertion failure), 2 on usage or input errors (graphs with n > 62
+are refused on loading, random sweeps before any work) and when a graph is
+too large for an exhaustive routine (the enumeration edge guard), 3 on an
+internal error (the fast route and the enumeration oracle disagree, or any
+other unexpected exception): an ``internal error:`` line and the traceback
+go to stderr, and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 from . import cover, sweep as sweep_mod
 from .cover import RefutationError
 from .graph import GRAPH6_MAX_N, Graph, ParseError, parse_edge_list, parse_graph6, to_dot, to_graph6
-from .matching import GuardExceededError, Matching
+from .matching import GuardExceededError, matchings_containing
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -36,10 +38,6 @@ def canonical_json(payload: dict) -> str:
 
 def _edge_pairs(edges) -> list[list[int]]:
     return [[u, v] for u, v in edges]
-
-
-def _matching_lists(matchings: Sequence[Matching]) -> list[list[list[int]]]:
-    return [_edge_pairs(f.edges) for f in matchings]
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -84,73 +82,67 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(canonical_json(payload))
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _analyze(g: Graph):
     report = cover.analyze(g)
-    _emit(
-        {
-            "graph6": to_graph6(g),
-            "n": g.n,
-            "nu": report.nu,
-            "allowed": _edge_pairs(report.allowed),
-            "disallowed": _edge_pairs(report.disallowed),
-            "matching_covered": report.is_matching_covered,
-            "minimal_matching_covered": report.is_minimal_matching_covered,
-            "perfect_matching": report.has_perfect_matching,
-        }
-    )
-    _write_dot(args.dot, g, report.disallowed)
-    return EXIT_OK
+    payload = {
+        "n": g.n,
+        "nu": report.nu,
+        "allowed": _edge_pairs(report.allowed),
+        "disallowed": _edge_pairs(report.disallowed),
+        "matching_covered": report.is_matching_covered,
+        "minimal_matching_covered": report.is_minimal_matching_covered,
+        "perfect_matching": report.has_perfect_matching,
+    }
+    return payload, g, report.disallowed
 
 
-def cmd_core(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _core(g: Graph):
     core = cover.core_subgraph(g)
     removed = tuple(e for e in g.edges if e not in core.edge_set)
-    _emit(
-        {
-            "graph6": to_graph6(g),
-            "core_graph6": to_graph6(core),
-            "removed": _edge_pairs(removed),
-        }
-    )
-    _write_dot(args.dot, g, removed)
-    return EXIT_OK
+    return {"core_graph6": to_graph6(core), "removed": _edge_pairs(removed)}, g, removed
 
 
-def cmd_minimize(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
+def _minimize(g: Graph):
     result, initial_dropped, trace = cover.minimize_with_trace(g)
-    _emit(
-        {
-            "graph6": to_graph6(g),
-            "result_graph6": to_graph6(result),
-            "dropped_before": list(initial_dropped),
-            "trace": [
-                {"edge": [step.edge.u, step.edge.v], "dropped_vertices": list(step.dropped)}
-                for step in trace
-            ],
-        }
-    )
-    _write_dot(args.dot, result)
-    return EXIT_OK
+    payload = {
+        "result_graph6": to_graph6(result),
+        "dropped_before": list(initial_dropped),
+        "trace": [
+            {"edge": [step.edge.u, step.edge.v], "dropped_vertices": list(step.dropped)}
+            for step in trace
+        ],
+    }
+    return payload, result, ()
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def _witness(g: Graph):
+    ws, ms = cover._witness_with_set(g)
+    shared = matchings_containing(ms, ws.pair[1])
+    payload = {
+        "sequence": _edge_pairs(ws.edges),
+        "repeat_i": ws.repeat_i,
+        "repeat_j": ws.repeat_j,
+        "pair": _edge_pairs(ws.pair),
+        "shared_matchings": [_edge_pairs(f.edges) for f in shared],
+    }
+    return payload, g, ws.pair
+
+
+# Each graph command: its help line, and g -> (payload, graph to draw, edges
+# to highlight).  The functions read ``cover`` when called.
+_GRAPH_COMMANDS = {
+    "analyze": ("allowed/disallowed edges and covered predicates", _analyze),
+    "core": ("the subgraph of allowed edges", _core),
+    "minimize": ("delete edges while the graph stays matching covered", _minimize),
+    "witness": ("edge sequence exhibiting two edges with equal matching sets", _witness),
+}
+
+
+def _run_graph_command(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    ws = cover.theorem_witness_sequence(g)
-    shared = cover.shared_matching_set(g, ws)
-    _emit(
-        {
-            "graph6": to_graph6(g),
-            "sequence": _edge_pairs(ws.edges),
-            "repeat_i": ws.repeat_i,
-            "repeat_j": ws.repeat_j,
-            "pair": _edge_pairs(ws.pair),
-            "shared_matchings": _matching_lists(shared),
-        }
-    )
-    _write_dot(args.dot, g, ws.pair)
+    payload, drawn, highlight = _GRAPH_COMMANDS[args.command][1](g)
+    _emit({"graph6": to_graph6(g), **payload})
+    _write_dot(args.dot, drawn, highlight)
     return EXIT_OK
 
 
@@ -162,8 +154,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if (args.max_n, args.n, args.p, args.samples, args.seed) != (None,) * 5:
             raise ValueError("--max-n/--n/--p/--samples/--seed do not apply to --ingest")
         with open(args.ingest, "r", encoding="utf-8") as handle:
-            graphs = list(sweep_mod.ingest_graph6_stream(handle))
-        report = sweep_mod.sweep_graphs(graphs, properties, jobs=args.jobs)
+            graphs = sweep_mod.ingest_graph6_stream(handle)
+            report = sweep_mod.sweep_graphs(graphs, properties, jobs=args.jobs)
     else:
         if args.exhaustive == args.random:
             raise ValueError("choose exactly one of --exhaustive or --random")
@@ -190,18 +182,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_graph_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph6", help="graph6 code of the input graph")
-    parser.add_argument("--edges", help="path to an edge-list file ('n' then 'u v' lines)")
-    parser.add_argument("--dot", help="write a DOT rendering to this path")
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=True,
-        help="emit JSON on stdout (default; kept for pipeline compatibility)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchcover",
@@ -212,21 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="allowed/disallowed edges and covered predicates")
-    _add_graph_input(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("core", help="the subgraph of allowed edges")
-    _add_graph_input(p)
-    p.set_defaults(func=cmd_core)
-
-    p = sub.add_parser("minimize", help="delete edges while the graph stays matching covered")
-    _add_graph_input(p)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("witness", help="edge sequence exhibiting two edges with equal matching sets")
-    _add_graph_input(p)
-    p.set_defaults(func=cmd_witness)
+    for name, (help_line, _) in _GRAPH_COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--graph6", help="graph6 code of the input graph")
+        p.add_argument("--edges", help="path to an edge-list file ('n' then 'u v' lines)")
+        p.add_argument("--dot", help="write a DOT rendering to this path")
+        p.add_argument(
+            "--json",
+            action="store_true",
+            default=True,
+            help="emit JSON on stdout (default; kept for pipeline compatibility)",
+        )
+        p.set_defaults(func=_run_graph_command)
 
     p = sub.add_parser("sweep", help="falsification sweep over a graph population")
     p.add_argument("--exhaustive", action="store_true", help="all labeled graphs with n <= --max-n")

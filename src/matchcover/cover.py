@@ -299,6 +299,11 @@ def theorem_witness_sequence(g: Graph) -> WitnessSequence:
     step's inclusion and the final equality; a violation raises
     :class:`RefutationError`.
     """
+    return _witness_with_set(g)[0]
+
+
+def _witness_with_set(g: Graph) -> tuple[WitnessSequence, MatchingSet]:
+    # The sequence and the one enumeration it was checked against.
     _require(g.edges != (), "graph must have at least one edge")
     _require(is_minimal_matching_covered(g), "graph must be minimal matching covered")
     ms = enumerate_maximum_matchings(g)
@@ -318,7 +323,7 @@ def theorem_witness_sequence(g: Graph) -> WitnessSequence:
                     f"sets through ({pair[0].u}, {pair[0].v}) and "
                     f"({pair[1].u}, {pair[1].v}) differ",
                 )
-            return WitnessSequence(tuple(sequence), repeat_i, repeat_j, pair)
+            return WitnessSequence(tuple(sequence), repeat_i, repeat_j, pair), ms
         positions[nxt] = len(sequence) - 1
     raise AssertionError("no repetition within the pigeonhole bound")
 

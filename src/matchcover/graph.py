@@ -77,11 +77,13 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists, each sorted ascending."""
+        # Sorted edges give every (u, x) with u < x before any (x, v), so
+        # each list is built in ascending order.
         neighbors: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neighbors)
+        return tuple(map(tuple, neighbors))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:

@@ -3,10 +3,12 @@
 A sweep walks a population of graphs (exhaustive over all labeled simple
 graphs up to a size bound, a seeded random family, or an ingested graph6
 stream), evaluates each requested property on the graphs satisfying its
-hypothesis class, and tallies passes and failures.  The first counterexample
-is minimal under ``(n, graph6)`` ordering no matter how the work is
-scheduled, and any failure detected by the fast predicates is re-verified
-against the enumeration oracle before it is reported.
+hypothesis class, and tallies passes and failures.  Every chunk of work,
+the whole population in a serial sweep, returns one keyed ``Counter``
+tally, and one merge sums them.  The first counterexample is minimal under
+``(n, graph6)`` ordering no matter how the work is scheduled, and any
+failure detected by the fast predicates is re-verified against the
+enumeration oracle before it is reported.
 
 Properties:
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import Pool
@@ -36,6 +39,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .cover import _no_deletion_covered
 from .cover import allowed_edges, allowed_edges_enumerated, is_matching_covered, mu
 from .graph import (
+    GRAPH6_MAX_N,
     Edge,
     Graph,
     ParseError,
@@ -334,7 +338,7 @@ class SweepConfig:
     """Population and property selection for one sweep.
 
     Exhaustive mode walks all labeled simple graphs with ``0 <= n <=
-    max_n``; random mode draws ``sample_count`` graphs on ``n`` vertices
+    max_n``; random mode draws ``sample_count`` graphs on ``n <= 62`` vertices
     with edge probability ``edge_probability``, sample ``i`` seeded with
     ``seed + i``.
     """
@@ -367,8 +371,9 @@ class SweepConfig:
         else:
             if self.max_n is not None:
                 raise ValueError("max_n applies to exhaustive mode only")
-            if self.n is None or self.n < 0:
-                raise ValueError("random mode requires a nonnegative n")
+            # Counterexamples are reported in graph6, which stops at n = 62.
+            if self.n is None or not 0 <= self.n <= GRAPH6_MAX_N:
+                raise ValueError(f"random mode requires 0 <= n <= {GRAPH6_MAX_N}")
             if self.edge_probability is None or not 0 <= self.edge_probability <= 1:
                 raise ValueError("random mode requires edge_probability in [0, 1]")
             if self.sample_count is None or self.sample_count < 0:
@@ -417,49 +422,37 @@ class SweepReport:
         return payload
 
 
-# A worker tally: population, then per-property dicts, then the minimal
-# counterexample key (n, graph6, property) or None.
-_Tally = tuple[int, dict[str, int], dict[str, int], dict[str, int],
-               tuple[int, str, str] | None]
-
-
-def _empty_tally(properties: Sequence[str]) -> _Tally:
-    zeros = {p: 0 for p in properties}
-    return 0, dict(zeros), dict(zeros), dict(zeros), None
+# A tally: counts keyed by "population" and by (kind, property), kind one of
+# "in_class", "passes", "failures", with the minimal counterexample key
+# (n, graph6, property) or None.  Absent keys read 0.
+_Tally = tuple[Counter, tuple[int, str, str] | None]
 
 
 def _tally_graphs(graphs: Iterable[Graph], properties: Sequence[str]) -> _Tally:
-    population, in_class, passes, failures, best = _empty_tally(properties)
+    counts: Counter = Counter()
+    best = None
     for g in graphs:
-        population += 1
+        counts["population"] += 1
         facts = _Facts(g)
         for prop in properties:
             member, passed = _CHECKS[prop](facts)
             if not member:
                 continue
-            in_class[prop] += 1
+            counts["in_class", prop] += 1
             if passed:
-                passes[prop] += 1
+                counts["passes", prop] += 1
                 continue
             _reverify_failure(g, prop)
-            failures[prop] += 1
+            counts["failures", prop] += 1
             key = (g.n, to_graph6(g), prop)
             if best is None or key < best:
                 best = key
-    return population, in_class, passes, failures, best
+    return counts, best
 
 
-def _merge_tallies(parts: Iterable[_Tally], properties: Sequence[str]) -> _Tally:
-    population, in_class, passes, failures, best = _empty_tally(properties)
-    for pop, member, ok, bad, candidate in parts:
-        population += pop
-        for p in properties:
-            in_class[p] += member[p]
-            passes[p] += ok[p]
-            failures[p] += bad[p]
-        if candidate is not None and (best is None or candidate < best):
-            best = candidate
-    return population, in_class, passes, failures, best
+def _merge_tallies(parts: Sequence[_Tally]) -> _Tally:
+    counts = sum((part_counts for part_counts, _ in parts), Counter())
+    return counts, min((best for _, best in parts if best is not None), default=None)
 
 
 def _exhaustive_sizes(max_n: int) -> list[tuple[int, int]]:
@@ -516,19 +509,18 @@ def _sweep(
     start = time.perf_counter()
     total = len(items)
     if jobs == 1 or total < 2:
-        tally = _sweep_chunk((cfg, items, properties))
+        parts = [_sweep_chunk((cfg, items, properties))]
     else:
         step = -(-total // min(total, jobs * 4))  # at most 4 chunks per worker
         chunks = [(cfg, items[lo:lo + step], properties) for lo in range(0, total, step)]
         with Pool(processes=jobs) as pool:
             parts = pool.map(_sweep_chunk, chunks)
-        tally = _merge_tallies(parts, properties)
-    population, in_class, passes, failures, best = tally
+    counts, best = _merge_tallies(parts)
     return SweepReport(
-        population=population,
-        in_class=in_class,
-        passes=passes,
-        failures=failures,
+        population=counts["population"],
+        in_class={p: counts["in_class", p] for p in properties},
+        passes={p: counts["passes", p] for p in properties},
+        failures={p: counts["failures", p] for p in properties},
         first_counterexample=None if best is None else (best[2], best[1]),
         wall_time=time.perf_counter() - start,
     )

@@ -11,9 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from matchcover import cli, to_graph6
+from matchcover import cli, parse_graph6, to_dot, to_graph6
 
-from helpers import cycle_graph
+from helpers import C6, count_scans, cycle_graph
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "schemas" / "report.json").read_text())
@@ -114,6 +114,13 @@ class TestCore:
         payload = parse_and_validate(out)
         assert payload["core_graph6"] == "A?"
 
+    def test_dot_highlights_removed(self, capsys, tmp_path):
+        dot = tmp_path / "p4.dot"
+        code, _, _ = run_cli(capsys, ["core", "--graph6", "Ch", "--dot", str(dot)])
+        assert code == 0
+        # The input P4 is drawn, with its one removed edge highlighted.
+        assert dot.read_text() == to_dot(parse_graph6("Ch"), [(1, 2)])
+
 
 class TestMinimize:
     def test_triangle(self, capsys):
@@ -134,6 +141,17 @@ class TestMinimize:
         assert code == 2
         assert out == ""
         assert "matching covered" in err
+
+    def test_dot_draws_result_without_highlight(self, capsys, tmp_path):
+        # K_{2,3} less one edge, plus an isolated vertex: minimizing drops
+        # the isolated vertex and then one edge, which leaves a C4.
+        dot = tmp_path / "m.dot"
+        code, out, _ = run_cli(
+            capsys, ["minimize", "--graph6", "EUo?", "--dot", str(dot)]
+        )
+        assert code == 0
+        assert parse_and_validate(out)["result_graph6"] == "C]"
+        assert dot.read_text() == to_dot(parse_graph6("C]"))
 
 
 class TestWitness:
@@ -161,6 +179,12 @@ class TestWitness:
         styled = [line for line in dot.read_text().splitlines() if "[" in line]
         assert len(styled) == 2
 
+    def test_scans_its_graph_once(self, capsys, monkeypatch):
+        scanned = count_scans(monkeypatch)
+        code, _, _ = run_cli(capsys, ["witness", "--graph6", to_graph6(C6)])
+        assert code == 0
+        assert scanned.count(C6) == 1
+
     def test_guard_exceeded_exits_2(self, capsys):
         # C34 is minimal matching covered with 34 edges, over the 32-edge
         # enumeration guard; that is a limit, not a refutation.
@@ -170,6 +194,15 @@ class TestWitness:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "32 edges" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "core", "minimize", "witness"])
+def test_unwritable_dot_exits_2_after_the_reply(capsys, tmp_path, command):
+    dot = tmp_path / "absent" / "g.dot"
+    code, out, err = run_cli(capsys, [command, "--graph6", "Cl", "--dot", str(dot)])
+    assert code == 2
+    assert parse_and_validate(out)["graph6"] == "Cl"
+    assert err.startswith("error:")
 
 
 class TestInputLimits:
@@ -240,6 +273,22 @@ class TestSweep:
         assert code == 0
         payload = parse_and_validate(out)
         assert payload["population"] == 50
+
+    def test_random_more_than_62_vertices_exits_2(self, capsys, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        def no_work(*args):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(sweep_mod, "random_graph", no_work)
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--random", "--n", "63", "--p", "0.5", "--samples", "1",
+             "--properties", "theorem", "--jobs", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "n <= 62" in err
 
     def test_ingest(self, capsys, tmp_path):
         path = tmp_path / "pop.g6"

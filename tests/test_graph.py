@@ -69,6 +69,14 @@ class TestGraphConstruction:
     def test_equal_graphs_compare_equal(self):
         assert Graph(3, [(0, 1), (1, 2)]) == Graph(3, [(2, 1), (0, 1)])
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_adjacency_ascending_from_reversed_edges(self, n):
+        for g in enumerate_labeled_graphs(n):
+            rebuilt = Graph(n, [(v, u) for u, v in reversed(g.edges)])
+            for v in range(n):
+                neighbors = sorted(x for e in g.edges for x in e if v in e and x != v)
+                assert rebuilt.adjacency[v] == tuple(neighbors)
+
     def test_fingerprint_distinguishes_graphs(self):
         assert K3.fingerprint != C4.fingerprint
         assert K3.fingerprint == Graph(3, [(1, 2), (0, 2), (0, 1)]).fingerprint

@@ -1,6 +1,7 @@
 """Population generation, sweep execution, and report determinism."""
 
 import io
+from collections import Counter
 
 import pytest
 
@@ -190,6 +191,22 @@ class TestConfigValidation:
             jobs=2,
         )
 
+    @pytest.mark.parametrize("n, ok", [(62, True), (63, False)])
+    def test_random_n_limited_to_graph6(self, n, ok):
+        cfg = SweepConfig(
+            mode=RANDOM_MODE,
+            properties=("theorem",),
+            n=n,
+            edge_probability=0.5,
+            sample_count=1,
+            seed=0,
+        )
+        if ok:
+            assert cfg.validated().n == n
+        else:
+            with pytest.raises(ValueError, match="n <= 62"):
+                cfg.validated()
+
     def test_random_requires_probability(self):
         with pytest.raises(ValueError):
             SweepConfig(
@@ -376,13 +393,20 @@ class TestCounterexampleReporting:
             sweep_mod._reverify_failure(Graph(2), "theorem")
 
     def test_merge_takes_minimal_counterexample(self):
-        props = ("theorem",)
-        a = (5, {"theorem": 2}, {"theorem": 1}, {"theorem": 1}, (4, "Cl", "theorem"))
-        b = (5, {"theorem": 1}, {"theorem": 0}, {"theorem": 1}, (2, "A_", "theorem"))
-        merged = _merge_tallies([a, b], props)
-        assert merged[0] == 10
-        assert merged[3] == {"theorem": 2}
-        assert merged[4] == (2, "A_", "theorem")
+        a = (
+            Counter({"population": 5, ("in_class", "theorem"): 2,
+                     ("passes", "theorem"): 1, ("failures", "theorem"): 1}),
+            (4, "Cl", "theorem"),
+        )
+        b = (
+            Counter({"population": 5, ("in_class", "theorem"): 1,
+                     ("failures", "theorem"): 1}),
+            (2, "A_", "theorem"),
+        )
+        counts, best = _merge_tallies([a, b])
+        assert counts["population"] == 10
+        assert counts["failures", "theorem"] == 2
+        assert best == (2, "A_", "theorem")
 
 
 class TestOneEnumerationPerGraph:
