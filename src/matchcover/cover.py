@@ -50,6 +50,7 @@ from .matching import (
     has_perfect_matching,
     matching_number,
     matchings_containing,
+    _allowed_verdicts,
     _covers_all,
 )
 
@@ -155,20 +156,29 @@ def is_minimal_matching_covered(g: Graph) -> bool:
     The deletion test keeps the vertex set intact: the comparison is between
     ``G - e`` and its own core as graphs on the same vertices.
     """
-    return is_matching_covered(g) and _no_deletion_covered(g, is_matching_covered)
+    return is_matching_covered(g) and _no_deletion_covered(g, _covered_without)
 
 
-def _no_deletion_covered(g: Graph, covered: Callable[[Graph], bool]) -> bool:
+def _no_deletion_covered(g: Graph, covered: Callable[[Graph, Edge], bool]) -> bool:
     return next(_covered_deletions(g, covered), None) is None
 
 
-def _covered_deletions(g: Graph, covered: Callable[[Graph], bool]) -> Iterator[tuple[Edge, Graph]]:
-    # In edge order, each (e, G - e) that `covered` (the fast or the
-    # enumeration predicate) accepts: the one deletion loop of both routes.
-    for e in g.edges:
-        smaller = delete_edge(g, e)
-        if covered(smaller):
-            yield e, smaller
+def _covered_deletions(g: Graph, covered: Callable[[Graph, Edge], bool]) -> Iterator[Edge]:
+    # Each e, in edge order, with `covered(g, e)`: the one deletion loop of both routes.
+    return (e for e in g.edges if covered(g, e))
+
+
+def _verdicts_without(g: Graph, e: Edge) -> tuple[tuple[Edge, ...], Iterator[bool]]:
+    # Edges and lazy verdicts of G - e without building it: G's lists, e's ends filtered.
+    adj = list(g.adjacency)
+    adj[e.u] = tuple(x for x in adj[e.u] if x != e.v)
+    adj[e.v] = tuple(x for x in adj[e.v] if x != e.u)
+    edges = tuple(x for x in g.edges if x != e)
+    return edges, _allowed_verdicts(g.n, adj, edges)
+
+
+def _covered_without(g: Graph, e: Edge) -> bool:
+    return all(_verdicts_without(g, e)[1])
 
 
 def minimize(g: Graph) -> Graph:
@@ -195,8 +205,8 @@ def minimize_with_trace(
     initial = isolated_vertices(g)
     g = drop_isolated(g)
     trace: list[DeletionStep] = []
-    while (step := next(_covered_deletions(g, is_matching_covered), None)) is not None:
-        e, smaller = step
+    while (e := next(_covered_deletions(g, _covered_without), None)) is not None:
+        smaller = delete_edge(g, e)
         trace.append(DeletionStep(e, isolated_vertices(smaller)))
         g = drop_isolated(smaller)
     return g, initial, tuple(trace)
@@ -269,9 +279,8 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
 
 def _dominated_edge(g: Graph, e: Edge, ms: MatchingSet | None) -> Edge:
     # The fast candidate, checked for inclusion against ``ms`` when given.
-    smaller = delete_edge(g, e)
-    verdicts = zip(smaller.edges, allowed_verdicts(smaller, smaller.edges))
-    dominated = next((cand for cand, ok in verdicts if not ok), None)
+    edges, verdicts = _verdicts_without(g, e)
+    dominated = next((cand for cand, ok in zip(edges, verdicts) if not ok), None)
     if dominated is None:
         raise ValueError(
             f"deleting ({e.u}, {e.v}) leaves a matching covered graph; "
@@ -341,7 +350,7 @@ def analyze(g: Graph) -> CoverReport:
     allowed = tuple(compress(g.edges, verdicts))
     disallowed = tuple(compress(g.edges, (not ok for ok in verdicts)))
     covered = not disallowed
-    minimal = covered and _no_deletion_covered(g, is_matching_covered)
+    minimal = covered and _no_deletion_covered(g, _covered_without)
     return CoverReport(
         nu=nu,
         allowed=allowed,

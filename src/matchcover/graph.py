@@ -50,13 +50,23 @@ def edge(u: int, v: int) -> Edge:
     return Edge(u, v) if u < v else Edge(v, u)
 
 
+def _is_normal_form(edges: tuple, n: int) -> bool:
+    # One pass: Edges, each in range with u < v, strictly ascending.
+    prev = ()
+    for e in edges:
+        if type(e) is not Edge or not (prev < e and 0 <= e[0] < e[1] < n):
+            return False
+        prev = e
+    return True
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
-    ``edges`` is normalized at construction: every pair is reordered to
-    ``u < v``, the collection is sorted, and loops, duplicates, and
-    out-of-range endpoints raise ``ValueError``.  The ``n = 0`` graph is
+    ``edges`` is normalized at construction: pairs are reordered to ``u < v``
+    and sorted (a sorted ``Edge`` tuple is only checked); loops, duplicates
+    and out-of-range endpoints raise ``ValueError``.  The ``n = 0`` graph is
     valid (and counts as connected and bipartite).
     """
 
@@ -66,6 +76,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        if type(self.edges) is tuple and _is_normal_form(self.edges, self.n):
+            return
         normalized = tuple(sorted(edge(u, v) for u, v in self.edges))
         for i, (u, v) in enumerate(normalized):
             if not (0 <= u < v < self.n):

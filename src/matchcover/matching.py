@@ -214,11 +214,15 @@ def allowed_verdicts(g: Graph, edges: Iterable[Edge]) -> Iterator[bool]:
     ``G - u - v``.  Such a path ends at mate(u) or mate(v), or it would
     augment M too, so at most two single-root searches decide the edge.
     """
-    n = g.n
-    mate = _max_matching_mates(n, g.adjacency)
+    return _allowed_verdicts(g.n, g.adjacency, edges)
+
+
+def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]],
+                      edges: Iterable[Edge]) -> Iterator[bool]:
+    mate = _max_matching_mates(n, adj)
     # Pairing u and v with a sentinel vertex n that has no neighbors makes
     # them dead ends for the unchanged search, which then runs in G - u - v.
-    adj = (*g.adjacency, ())
+    adj = (*adj, ())
     for u, v in edges:
         a, b = mate[u], mate[v]
         if a == v or a < 0 or b < 0:

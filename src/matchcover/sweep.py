@@ -32,18 +32,19 @@ import dataclasses
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from multiprocessing import Pool
 from typing import IO, Iterable, Iterator, Sequence
 
-from .cover import _no_deletion_covered
-from .cover import allowed_edges, allowed_edges_enumerated, is_matching_covered, mu
+from .cover import _covered_without, _no_deletion_covered
+from .cover import allowed_edges, is_matching_covered, mu
 from .graph import (
     GRAPH6_MAX_N,
     Edge,
     Graph,
     ParseError,
     bipartition,
+    delete_edge,
     is_connected,
     isolated_vertices,
     parse_graph6,
@@ -132,10 +133,13 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
+@cache
+def _lex_pairs(n: int) -> tuple[Edge, ...]:
+    return tuple(Edge(u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = tuple(Edge(u, v) for k, (u, v) in enumerate(pairs) if mask >> k & 1)
-    return Graph(n, edges)
+    return Graph(n, tuple(e for k, e in enumerate(_lex_pairs(n)) if mask >> k & 1))
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -182,8 +186,8 @@ def ingest_graph6_stream(
 class _Facts:
     """Lazily computed per-graph facts shared across property checks.
 
-    ``nu`` and ``_is_covered`` take the fast route here and the oracle route
-    in :class:`_OracleFacts`; every fact derived from them is shared.
+    ``nu``, ``covered`` and ``_deletion_covered(g, e)`` take the fast route
+    here and the oracle route in :class:`_OracleFacts`; all else is shared.
     """
 
     def __init__(self, g: Graph):
@@ -193,9 +197,7 @@ class _Facts:
     def nu(self) -> int:
         return matching_number(self.g)
 
-    @staticmethod
-    def _is_covered(g: Graph) -> bool:
-        return is_matching_covered(g)
+    _deletion_covered = staticmethod(_covered_without)
 
     @cached_property
     def within_guard(self) -> bool:
@@ -207,11 +209,11 @@ class _Facts:
 
     @cached_property
     def covered(self) -> bool:
-        return self._is_covered(self.g)
+        return is_matching_covered(self.g)
 
     @cached_property
     def minimal_covered(self) -> bool:
-        return self.covered and _no_deletion_covered(self.g, self._is_covered)
+        return self.covered and _no_deletion_covered(self.g, self._deletion_covered)
 
     @cached_property
     def perfect(self) -> bool:
@@ -247,8 +249,8 @@ class _OracleFacts(_Facts):
         return self.ms.allowed == self.g.edges
 
     @staticmethod
-    def _is_covered(g: Graph) -> bool:
-        return allowed_edges_enumerated(g) == g.edges
+    def _deletion_covered(g: Graph, e: Edge) -> bool:
+        return _OracleFacts(delete_edge(g, e)).covered
 
 
 def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
@@ -539,5 +541,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 def sweep_graphs(
     graphs: Iterable[Graph], properties: Sequence[str], jobs: int = 1
 ) -> SweepReport:
-    """Sweep an explicit population (e.g. an ingested graph6 stream)."""
-    return _sweep(None, tuple(graphs), properties, jobs)
+    """Sweep explicit graphs, e.g. an ingested graph6 stream; all need n <= 62."""
+    graphs = tuple(graphs)
+    if (largest := max((g.n for g in graphs), default=0)) > GRAPH6_MAX_N:
+        raise ValueError(f"sweeps are limited to n <= {GRAPH6_MAX_N}, got n={largest}")
+    return _sweep(None, graphs, properties, jobs)

@@ -1,6 +1,6 @@
 """Fixture graphs and probes shared across the test modules."""
 
-from matchcover import Graph, matching
+from matchcover import Graph, cover, matching, sweep
 
 
 def complete_graph(n: int) -> Graph:
@@ -41,3 +41,30 @@ def count_scans(monkeypatch) -> list[Graph]:
 
     monkeypatch.setattr(matching, "_scan_matchings", counting)
     return scanned
+
+
+def count_builds(monkeypatch) -> list[Graph]:
+    """Record every Graph constructed from now on."""
+    built: list[Graph] = []
+    original = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    return built
+
+
+def count_edge_deletions(monkeypatch) -> list[tuple[Graph, tuple[int, int]]]:
+    """Record every ``delete_edge`` call made through cover or sweep from now on."""
+    calls: list[tuple[Graph, tuple[int, int]]] = []
+    original = cover.delete_edge
+
+    def counting(g, e):
+        calls.append((g, e))
+        return original(g, e)
+
+    for module in (cover, sweep):
+        monkeypatch.setattr(module, "delete_edge", counting)
+    return calls

@@ -21,6 +21,7 @@ from matchcover import (
     allowed_edges_enumerated,
     core_subgraph,
     delete_edge,
+    drop_isolated,
     enumerate_labeled_graphs,
     enumerate_maximum_matchings,
     find_dominated_edge,
@@ -37,7 +38,8 @@ from matchcover import (
     random_graph,
     theorem_witness_sequence,
 )
-from matchcover.cover import DeletionStep, shared_matching_set
+from matchcover.cover import DeletionStep, _covered_without, shared_matching_set
+from matchcover.graph import isolated_vertices
 
 from helpers import C4, C6, K2, K3, K4, P3, P4, STAR3, TWO_K2, count_scans, cycle_graph, path_graph
 
@@ -145,6 +147,61 @@ class TestAllowedKernel:
             assert set(allowed_edges(g)) & set(checked) == expected, g.edges
             disallowed += len(checked) - len(expected)
         assert disallowed > 0
+
+
+def dominated_by_rebuild(g, e):
+    smaller = delete_edge(g, e)
+    return next(x for x in smaller.edges if not is_allowed(smaller, x))
+
+
+def minimize_by_rebuild(g):
+    # The greedy walk with every deletion G - e built as a Graph.
+    initial = isolated_vertices(g)
+    g = drop_isolated(g)
+    trace = []
+    while True:
+        e = next((e for e in g.edges if is_matching_covered(delete_edge(g, e))), None)
+        if e is None:
+            return g, initial, tuple(trace)
+        smaller = delete_edge(g, e)
+        trace.append(DeletionStep(e, isolated_vertices(smaller)))
+        g = drop_isolated(smaller)
+
+
+def seeded_graphs_8_to_14():
+    rng = random.Random(8)
+    for _ in range(40):
+        n, p = rng.randint(8, 14), rng.uniform(0.2, 0.7)
+        yield random_graph(n, p, seed=rng.randrange(2**32))
+
+
+class TestDeletionInTheKernel:
+    """The fast route decides "is G - e matching covered" on G's neighbor
+    lists with e left out, and agrees with building G - e."""
+
+    def check(self, graphs):
+        # Returns (deletions compared, dominated edges compared, graphs minimized).
+        deletions = dominated = minimized = 0
+        for g in graphs:
+            covered = is_matching_covered(g)
+            for e in g.edges:
+                expected = is_matching_covered(delete_edge(g, e))
+                assert _covered_without(g, e) == expected, (g.edges, e)
+                deletions += 1
+                if covered and not expected:
+                    assert find_dominated_edge(g, e) == dominated_by_rebuild(g, e)
+                    dominated += 1
+            if covered:
+                assert minimize_with_trace(g) == minimize_by_rebuild(g), g.edges
+                minimized += 1
+        return deletions, dominated, minimized
+
+    def test_every_edge_of_graphs_up_to_five_vertices(self):
+        graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+        assert self.check(graphs) == (5325, 948, 700)
+
+    def test_every_edge_of_seeded_graphs_8_to_14(self):
+        assert self.check(seeded_graphs_8_to_14()) == (1024, 45, 31)
 
 
 class TestCoreSubgraph:

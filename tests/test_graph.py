@@ -82,6 +82,50 @@ class TestGraphConstruction:
         assert K3.fingerprint == Graph(3, [(1, 2), (0, 2), (0, 1)]).fingerprint
 
 
+class TestNormalFormCheck:
+    """Input already in normal form is checked in one pass and kept; any
+    other input is normalized, and invalid input raises the normalization's
+    own error.  The expected messages are those of the full normalization."""
+
+    def test_canonical_tuple_kept_as_given(self):
+        edges = (Edge(0, 1), Edge(0, 3), Edge(2, 3))
+        assert Graph(4, edges).edges is edges
+
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            (4, (Edge(2, 3), Edge(0, 1)), (Edge(0, 1), Edge(2, 3))),
+            (3, (Edge(2, 1),), (Edge(1, 2),)),
+            (3, ((0, 1), (1, 2)), (Edge(0, 1), Edge(1, 2))),
+            (3, [Edge(0, 1), Edge(1, 2)], (Edge(0, 1), Edge(1, 2))),
+        ],
+        ids=["descending", "reversed-pair", "plain-tuples", "list"],
+    )
+    def test_other_input_normalized(self, n, edges, expected):
+        g = Graph(n, edges)
+        assert g.edges == expected
+        assert all(type(e) is Edge for e in g.edges)
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, (Edge(0, 1), Edge(1, 3)), "edge (1, 3) out of range for n=3"),
+            (3, (Edge(-1, 1),), "edge (-1, 1) out of range for n=3"),
+            (3, (Edge(0, 1), Edge(0, 1)), "duplicate edge (0, 1)"),
+            (3, (Edge(2, 2),), "loop (2, 2) is not a valid edge"),
+            (-1, (), "vertex count must be nonnegative, got -1"),
+            (-2, (Edge(0, 1),), "vertex count must be nonnegative, got -2"),
+        ],
+        ids=["out-of-range", "negative-endpoint", "duplicate", "loop",
+             "negative-n", "negative-n-with-edges"],
+    )
+    def test_invalid_input_same_error(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+
 class TestGraph6:
     @pytest.mark.parametrize("code,expected", GRAPH6_TABLE)
     def test_decode(self, code, expected):

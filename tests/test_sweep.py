@@ -29,7 +29,7 @@ from matchcover.sweep import (
     _OracleFacts,
 )
 
-from helpers import C4, K4, count_scans
+from helpers import C4, K4, count_builds, count_edge_deletions, count_scans
 
 
 class TestLabeledEnumeration:
@@ -351,6 +351,19 @@ class TestSweepGraphs:
             include_wall_time=False
         )
 
+    def test_more_than_62_vertices_refused_before_any_work(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        def no_work(*args):
+            raise AssertionError("graphs were swept")
+
+        monkeypatch.setattr(sweep_mod, "_tally_graphs", no_work)
+        graphs = [C4, Graph(63, [(0, 1)])]
+        with pytest.raises(ValueError, match="n <= 62, got n=63"):
+            sweep_graphs(graphs, ["oracle-nu"])
+        with pytest.raises(ValueError, match="n <= 62, got n=63"):
+            sweep_graphs(iter(graphs), ["theorem"], jobs=2)
+
 
 class TestCounterexampleReporting:
     def test_forced_failure_reports_minimal_graph(self, monkeypatch):
@@ -407,6 +420,18 @@ class TestCounterexampleReporting:
         assert counts["population"] == 10
         assert counts["failures", "theorem"] == 2
         assert best == (2, "A_", "theorem")
+
+
+class TestOneBuildPerGraph:
+    def test_theorem_sweep_builds_each_graph_once(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        deletions = count_edge_deletions(monkeypatch)
+        report = run_sweep(
+            SweepConfig(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=5)
+        )
+        assert report.population == 1100
+        assert len(built) == 1100
+        assert deletions == []
 
 
 class TestOneEnumerationPerGraph:
