@@ -224,6 +224,8 @@ def mu(g: Graph, e: tuple[int, int], f: Matching) -> int | None:
     if not missed:
         raise ValueError("matching is perfect; no missed vertices to measure")
     du = distance_to_set(g, e.u, missed)
+    if du == 0:
+        return 0
     dv = distance_to_set(g, e.v, missed)
     finite = [d for d in (du, dv) if d is not None]
     return min(finite) if finite else None

@@ -3,9 +3,12 @@
 The fast path is the classic augmenting-path search with blossom contraction,
 exact on general graphs (bipartite-only methods would fail on K3, K4, and the
 other odd-structure graphs this library centers on).  The oracle is one
-deliberately simple backtracking enumeration of all maximum matchings, the
-independent route the fast path is checked against: its :class:`MatchingSet`
-carries both the matching number and the allowed edges (their union).
+backtracking enumeration of all maximum matchings, the independent route the
+fast path is checked against: its :class:`MatchingSet` carries both the
+matching number and the allowed edges (their union).  The walk pairs before
+it leaves a vertex exposed and cuts a branch once it has left more vertices
+exposed than the best matching found so far leaves; that bound counts
+vertices only and takes nothing from the blossom search.
 
 Everything is deterministic: vertices and neighbors are scanned in increasing
 order, so repeated runs and parallel schedules produce identical results.
@@ -20,7 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, edge
 
-# Backtracking over edge subsets is exponential; fail loudly beyond desk scale.
+# Even pruned, the backtracking walk over matchings is exponential in the
+# edge count; fail loudly beyond desk scale.
 ENUMERATION_EDGE_LIMIT = 32
 
 
@@ -240,39 +244,49 @@ def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]],
 
 
 def _scan_matchings(g: Graph) -> tuple[int, list[tuple[Edge, ...]]]:
-    # Visit every matching once, branching on the lowest undecided vertex:
-    # leave it unmatched, or pair it with a free higher neighbor.
+    # Branch on the lowest undecided vertex: pair it with each free higher
+    # neighbor, then leave it exposed.  A matching of size s leaves exactly
+    # n - 2s vertices exposed, so the exposed branch is taken only while
+    # fewer than n - 2 * best_size are: every cut branch ends below the best
+    # size found, and ties are kept.  The bound counts vertices only; it is
+    # never seeded from the blossom search, which this oracle checks.
     n = g.n
-    adj = g.adjacency
+    # The graph's own Edges, grouped by lower endpoint (g.edges is sorted).
+    higher: list[list[Edge]] = [[] for _ in range(n)]
+    for e in g.edges:
+        higher[e.u].append(e)
     used = bytearray(n)
     chosen: list[Edge] = []
     best_size = -1
+    slack = n
     best: list[tuple[Edge, ...]] = []
 
-    def extend(v: int) -> None:
-        nonlocal best_size, best
+    def extend(v: int, exposed: int) -> None:
+        nonlocal best_size, slack, best
         while v < n and used[v]:
             v += 1
         if v == n:
             size = len(chosen)
             if size > best_size:
                 best_size = size
+                slack = n - 2 * size
                 best = [tuple(chosen)]
             elif size == best_size:
                 best.append(tuple(chosen))
             return
-        extend(v + 1)
-        used[v] = 1
-        for w in adj[v]:
-            if w > v and not used[w]:
+        # Later vertices look only at higher neighbors, so v needs no mark.
+        for e in higher[v]:
+            w = e.v
+            if not used[w]:
                 used[w] = 1
-                chosen.append(Edge(v, w))
-                extend(v + 1)
+                chosen.append(e)
+                extend(v + 1, exposed)
                 chosen.pop()
                 used[w] = 0
-        used[v] = 0
+        if exposed < slack:
+            extend(v + 1, exposed + 1)
 
-    extend(0)
+    extend(0, 0)
     return best_size, best
 
 
@@ -289,7 +303,9 @@ def enumerate_maximum_matchings(g: Graph) -> MatchingSet:
             f"graph has {len(g.edges)}"
         )
     nu, raw = _scan_matchings(g)
-    matchings = tuple(sorted(Matching(edges, g.fingerprint) for edges in raw))
+    # Matching compares by its edges alone, so sorting the raw edge tuples
+    # sorts the matchings.
+    matchings = tuple(Matching(edges, g.fingerprint) for edges in sorted(raw))
     return MatchingSet(g, matchings, nu)
 
 

@@ -1,6 +1,6 @@
 """Fixture graphs and probes shared across the test modules."""
 
-from matchcover import Graph, cover, matching, sweep
+from matchcover import Edge, Graph, cover, matching, sweep
 
 
 def complete_graph(n: int) -> Graph:
@@ -28,6 +28,45 @@ K4 = complete_graph(4)
 STAR3 = star_graph(3)
 C6 = cycle_graph(6)
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
+
+
+def reference_scan(g: Graph) -> tuple[int, list[tuple[Edge, ...]]]:
+    """``(nu, maximum matchings)`` from a walk over every matching, unpruned.
+
+    The reference that the oracle's pruned walk must agree with.
+    """
+    n = g.n
+    adj = g.adjacency
+    used = bytearray(n)
+    chosen: list[Edge] = []
+    best_size = -1
+    best: list[tuple[Edge, ...]] = []
+
+    def extend(v: int) -> None:
+        nonlocal best_size, best
+        while v < n and used[v]:
+            v += 1
+        if v == n:
+            size = len(chosen)
+            if size > best_size:
+                best_size = size
+                best = [tuple(chosen)]
+            elif size == best_size:
+                best.append(tuple(chosen))
+            return
+        extend(v + 1)
+        used[v] = 1
+        for w in adj[v]:
+            if w > v and not used[w]:
+                used[w] = 1
+                chosen.append(Edge(v, w))
+                extend(v + 1)
+                chosen.pop()
+                used[w] = 0
+        used[v] = 0
+
+    extend(0)
+    return best_size, best
 
 
 def count_scans(monkeypatch) -> list[Graph]:

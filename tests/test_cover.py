@@ -21,6 +21,7 @@ from matchcover import (
     allowed_edges_enumerated,
     core_subgraph,
     delete_edge,
+    distance_to_set,
     drop_isolated,
     enumerate_labeled_graphs,
     enumerate_maximum_matchings,
@@ -317,6 +318,31 @@ class TestMu:
                 for e in g.edges:
                     expected_zero = e.u in missed or e.v in missed
                     assert (mu(g, e, f) == 0) == expected_zero
+
+    def test_same_as_both_endpoint_distances(self):
+        # The value from BFS at both endpoints, as mu computed it before it
+        # stopped at an endpoint that is already missed.
+        for g in (K3, path_graph(5), STAR3):
+            for f in enumerate_maximum_matchings(g):
+                missed = frozenset(range(g.n)) - f.covered_vertices()
+                for e in g.edges:
+                    finite = [d for d in (distance_to_set(g, e.u, missed),
+                                          distance_to_set(g, e.v, missed))
+                              if d is not None]
+                    assert mu(g, e, f) == (min(finite) if finite else None)
+
+    def test_missed_first_endpoint_needs_one_search(self, monkeypatch):
+        from matchcover import cover
+
+        targets = []
+
+        def counting(g, w, missed):
+            targets.append(w)
+            return distance_to_set(g, w, missed)
+
+        monkeypatch.setattr(cover, "distance_to_set", counting)
+        assert mu(K3, (1, 2), Matching.of(K3, [(0, 2)])) == 0
+        assert targets == [1]
 
 
 class TestLemma1Witness:

@@ -8,17 +8,37 @@ from matchcover import (
     Graph,
     GuardExceededError,
     Matching,
+    allowed_edges_enumerated,
     brute_force_matching_number,
     covered_and_missed,
+    enumerate_labeled_graphs,
     enumerate_maximum_matchings,
     has_perfect_matching,
     is_perfect,
     matching_number,
     matchings_containing,
     maximum_matching,
+    random_graph,
+)
+from matchcover import matching
+from matchcover.matching import ENUMERATION_EDGE_LIMIT
+
+from helpers import (
+    C4,
+    K2,
+    K3,
+    K4,
+    P3,
+    P4,
+    TWO_K2,
+    complete_graph,
+    path_graph,
+    reference_scan,
 )
 
-from helpers import C4, K2, K3, K4, P3, P4, TWO_K2, path_graph
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
 def assert_valid_matching(g, f):
@@ -107,6 +127,73 @@ class TestEnumeration:
             assert_valid_matching(K4, f)
             assert len(f) == ms.nu
         assert list(ms.matchings) == sorted(ms.matchings)
+
+
+class TestPrunedScan:
+    """The walk cut by exposed vertices against the unpruned reference walk."""
+
+    @staticmethod
+    def assert_same_as_reference(g):
+        nu, raw = matching._scan_matchings(g)
+        ref_nu, ref_raw = reference_scan(g)
+        assert nu == ref_nu
+        assert sorted(raw) == sorted(ref_raw)
+
+    def test_every_labeled_graph_up_to_six_vertices(self):
+        for n in range(7):
+            for g in enumerate_labeled_graphs(n):
+                self.assert_same_as_reference(g)
+
+    def test_seeded_graphs_7_to_14(self):
+        checked = 0
+        for n in range(7, 15):
+            for seed in range(40):
+                g = random_graph(n, 0.3, seed)
+                if len(g.edges) <= ENUMERATION_EDGE_LIMIT:
+                    self.assert_same_as_reference(g)
+                    checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize(
+        "g,nu,count",
+        [(complete_graph(8), 4, 105), (complete_bipartite(4, 8), 4, 1680)],
+        ids=["K8", "K4,8"],
+    )
+    def test_closed_form_counts(self, g, nu, count):
+        ms = enumerate_maximum_matchings(g)
+        assert ms.nu == nu
+        assert len(ms) == count
+        assert len(set(ms.matchings)) == count
+
+    def test_first_leaf_below_the_maximum(self):
+        # Pairing 0 with 1 first strands 2 and 3: the first leaf has size 1.
+        g = Graph(4, [(0, 1), (1, 2), (0, 3)])
+        ms = enumerate_maximum_matchings(g)
+        assert ms.nu == 2
+        assert [f.edges for f in ms] == [(Edge(0, 3), Edge(1, 2))]
+
+    def test_one_edge_above_the_guard(self):
+        at_guard = complete_bipartite(4, 8)
+        assert len(at_guard.edges) == ENUMERATION_EDGE_LIMIT
+        g = Graph(12, at_guard.edges + ((0, 1),))
+        assert len(g.edges) == ENUMERATION_EDGE_LIMIT + 1
+        with pytest.raises(GuardExceededError):
+            enumerate_maximum_matchings(g)
+
+    @pytest.mark.parametrize("g", [C4, K4, P4], ids=["C4", "K4", "P4"])
+    def test_shares_no_code_with_the_blossom_search(self, g, monkeypatch):
+        expected = reference_scan(g)
+
+        def refuse(*args):
+            raise AssertionError("the oracle called the blossom search")
+
+        monkeypatch.setattr(matching, "_augment_from", refuse)
+        monkeypatch.setattr(matching, "_max_matching_mates", refuse)
+        ms = enumerate_maximum_matchings(g)
+        assert ms.nu == expected[0]
+        assert [f.edges for f in ms] == sorted(expected[1])
+        assert brute_force_matching_number(g) == expected[0]
+        assert allowed_edges_enumerated(g) == ms.allowed
 
 
 class TestRestriction:
