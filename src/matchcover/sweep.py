@@ -3,12 +3,15 @@
 A sweep walks a population of graphs (exhaustive over all labeled simple
 graphs up to a size bound, a seeded random family, or an ingested graph6
 stream), evaluates each requested property on the graphs satisfying its
-hypothesis class, and tallies passes and failures.  Every chunk of work,
-the whole population in a serial sweep, returns one keyed ``Counter``
-tally, and one merge sums them.  The first counterexample is minimal under
-``(n, graph6)`` ordering no matter how the work is scheduled, and any
-failure detected by the fast predicates is re-verified against the
-enumeration oracle before it is reported.
+hypothesis class, and tallies passes and failures.  A population yields
+one facts object per graph.  The exhaustive one also keeps, per chunk and
+n, a two-bit verdict table over edge masks, so "is G - e matching covered"
+is read off the verdict of the labeled graph G - e whenever the chunk has
+already decided it.  Every chunk of work, the whole population in a serial
+sweep, returns one keyed ``Counter`` tally, and one merge sums them.  The
+first counterexample is minimal under ``(n, graph6)`` ordering no matter
+how the work is scheduled, and any failure detected by the fast predicates
+is re-verified against the enumeration oracle before it is reported.
 
 Properties:
 
@@ -34,10 +37,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from multiprocessing import Pool
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .cover import _covered_without, _no_deletion_covered
-from .cover import allowed_edges, is_matching_covered, mu
+from .cover import allowed_edges, is_matching_covered
 from .graph import (
     GRAPH6_MAX_N,
     Edge,
@@ -138,6 +141,12 @@ def _lex_pairs(n: int) -> tuple[Edge, ...]:
     return tuple(Edge(u, v) for u in range(n) for v in range(u + 1, n))
 
 
+@cache
+def _pair_bits(n: int) -> dict[Edge, int]:
+    # Each vertex pair's bit in an edge mask on n vertices.
+    return {e: 1 << k for k, e in enumerate(_lex_pairs(n))}
+
+
 def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(e for k, e in enumerate(_lex_pairs(n)) if mask >> k & 1))
 
@@ -186,8 +195,11 @@ def ingest_graph6_stream(
 class _Facts:
     """Lazily computed per-graph facts shared across property checks.
 
-    ``nu``, ``covered`` and ``_deletion_covered(g, e)`` take the fast route
-    here and the oracle route in :class:`_OracleFacts`; all else is shared.
+    ``nu``, ``covered`` and ``_deletion_covered(g, e)`` come from one of
+    three sources, and all else is shared: the fast route here, the same
+    route with ``covered`` and the deletions behind a per-chunk verdict
+    table in :class:`_LabeledFacts`, and the oracle route in
+    :class:`_OracleFacts`.
     """
 
     def __init__(self, g: Graph):
@@ -253,6 +265,37 @@ class _OracleFacts(_Facts):
         return _OracleFacts(delete_edge(g, e)).covered
 
 
+class _LabeledFacts(_Facts):
+    """Fast-route facts of the labeled graph ``g`` with edge mask ``mask``.
+
+    ``table`` holds two bits per edge mask on ``g.n`` vertices (0 unknown,
+    1 not covered, 3 covered) and is shared by one chunk's graphs of that
+    n.  ``covered`` and G - e's verdict, the entry of ``mask`` with e's bit
+    cleared, are read from it, or computed by the fast route and stored.
+    """
+
+    def __init__(self, g: Graph, mask: int, table: bytearray):
+        super().__init__(g)
+        self.mask = mask
+        self.table = table
+
+    def _verdict(self, mask: int, decide: Callable[..., bool], *args) -> bool:
+        table = self.table
+        i, shift = mask >> 2, (mask & 3) << 1
+        state = table[i] >> shift & 3
+        if not state:
+            state = 3 if decide(*args) else 1
+            table[i] |= state << shift
+        return state == 3
+
+    @cached_property
+    def covered(self) -> bool:
+        return self._verdict(self.mask, is_matching_covered, self.g)
+
+    def _deletion_covered(self, g: Graph, e: Edge) -> bool:
+        return self._verdict(self.mask ^ _pair_bits(g.n)[e], _covered_without, g, e)
+
+
 def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
     in_class = bool(facts.g.edges) and facts.no_isolated and facts.minimal_covered
     if not in_class:
@@ -264,9 +307,10 @@ def _check_lemma1(facts: _Facts) -> tuple[bool, bool]:
     in_class = facts.connected and facts.covered and not facts.perfect
     if not in_class:
         return False, True
-    g = facts.g
-    # mu values are nonnegative, so min == 0 iff some matching scores 0.
-    return True, all(any(mu(g, e, f) == 0 for f in facts.ms) for e in g.edges)
+    # The minimum distance over the maximum matchings is 0 iff one of them
+    # misses an endpoint, i.e. an endpoint is missed by some matching.
+    missed = facts.missed_by_some
+    return True, all(e.u in missed or e.v in missed for e in facts.g.edges)
 
 
 def _check_lemma2(facts: _Facts) -> tuple[bool, bool]:
@@ -430,12 +474,12 @@ class SweepReport:
 _Tally = tuple[Counter, tuple[int, str, str] | None]
 
 
-def _tally_graphs(graphs: Iterable[Graph], properties: Sequence[str]) -> _Tally:
+def _tally_graphs(population: Iterable[_Facts], properties: Sequence[str]) -> _Tally:
     counts: Counter = Counter()
     best = None
-    for g in graphs:
+    for facts in population:
+        g = facts.g
         counts["population"] += 1
-        facts = _Facts(g)
         for prop in properties:
             member, passed = _CHECKS[prop](facts)
             if not member:
@@ -467,18 +511,24 @@ def _population_size(cfg: SweepConfig) -> int:
     return cfg.sample_count
 
 
-def _graphs_for_range(cfg: SweepConfig, lo: int, hi: int) -> Iterator[Graph]:
+def _labeled_facts(n: int, masks: range) -> Iterator[_LabeledFacts]:
+    # One verdict table per n and chunk, dropped with the chunk.
+    table = bytearray(-(-(1 << (n * (n - 1) // 2)) // 4))
+    for mask in masks:
+        yield _LabeledFacts(_graph_from_mask(n, mask), mask, table)
+
+
+def _facts_for_range(cfg: SweepConfig, lo: int, hi: int) -> Iterator[_Facts]:
     if cfg.mode == EXHAUSTIVE_MODE:
         offset = 0
         for n, count in _exhaustive_sizes(cfg.max_n):
-            start = max(lo, offset)
-            stop = min(hi, offset + count)
-            for idx in range(start, stop):
-                yield _graph_from_mask(n, idx - offset)
+            masks = range(max(lo - offset, 0), min(hi - offset, count))
+            if masks:
+                yield from _labeled_facts(n, masks)
             offset += count
     else:
         for i in range(lo, hi):
-            yield random_graph(cfg.n, cfg.edge_probability, cfg.seed + i)
+            yield _Facts(random_graph(cfg.n, cfg.edge_probability, cfg.seed + i))
 
 
 def _sweep_chunk(
@@ -486,8 +536,11 @@ def _sweep_chunk(
 ) -> _Tally:
     # A configured population travels as an index range, an explicit one as graphs.
     cfg, items, properties = args
-    graphs = items if cfg is None else _graphs_for_range(cfg, items.start, items.stop)
-    return _tally_graphs(graphs, properties)
+    if cfg is None:
+        population = map(_Facts, items)
+    else:
+        population = _facts_for_range(cfg, items.start, items.stop)
+    return _tally_graphs(population, properties)
 
 
 def _checked_selection(properties: Sequence[str], jobs: int) -> tuple[str, ...]:

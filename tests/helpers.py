@@ -107,3 +107,16 @@ def count_edge_deletions(monkeypatch) -> list[tuple[Graph, tuple[int, int]]]:
     for module in (cover, sweep):
         monkeypatch.setattr(module, "delete_edge", counting)
     return calls
+
+
+def count_blossom_passes(monkeypatch) -> list[int]:
+    """Record the vertex count of every blossom maximum-matching pass from now on."""
+    passes: list[int] = []
+    original = matching._max_matching_mates
+
+    def counting(n, adj):
+        passes.append(n)
+        return original(n, adj)
+
+    monkeypatch.setattr(matching, "_max_matching_mates", counting)
+    return passes

@@ -25,11 +25,19 @@ from matchcover.sweep import (
     SplitMix64,
     StreamParseError,
     _Facts,
+    _labeled_facts,
     _merge_tallies,
     _OracleFacts,
 )
 
-from helpers import C4, K4, count_builds, count_edge_deletions, count_scans
+from helpers import (
+    C4,
+    K4,
+    count_blossom_passes,
+    count_builds,
+    count_edge_deletions,
+    count_scans,
+)
 
 
 class TestLabeledEnumeration:
@@ -433,6 +441,16 @@ class TestOneBuildPerGraph:
         assert len(built) == 1100
         assert deletions == []
 
+    def test_theorem_sweep_runs_at_most_one_blossom_pass_per_graph(self, monkeypatch):
+        passes = count_blossom_passes(monkeypatch)
+        report = run_sweep(
+            SweepConfig(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=5)
+        )
+        # G - e is read off the verdict of the labeled graph G - e wherever the
+        # sweep already decided it; rerunning the kernel per deletion made 1,624.
+        assert report.population == 1100
+        assert len(passes) <= 1100
+
 
 class TestOneEnumerationPerGraph:
     def test_oracle_sweep_scans_each_graph_once(self, monkeypatch):
@@ -490,12 +508,38 @@ class TestOracleChecksCatchTheFastRoute:
 class TestRouteEquivalence:
     @pytest.mark.parametrize("prop", ["theorem", "lemma1", "lemma2", "corollary"])
     def test_fast_and_oracle_facts_agree(self, prop):
-        # Every labeled graph with n <= 5: 1 + 1 + 2 + 8 + 64 + 1024 = 1100.
-        graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
-        assert len(graphs) == 1100
+        # Every labeled graph with n <= 5: 1 + 1 + 2 + 8 + 64 + 1024 = 1100,
+        # with the labeled facts sharing one verdict table per n, as in a sweep.
+        labeled = [
+            facts
+            for n in range(6)
+            for facts in _labeled_facts(n, range(1 << (n * (n - 1) // 2)))
+        ]
+        assert len(labeled) == 1100
         check = _CHECKS[prop]
-        for g in graphs:
-            assert check(_Facts(g)) == check(_OracleFacts(g)), to_graph6(g)
+        for facts in labeled:
+            g = facts.g
+            expected = check(_OracleFacts(g))
+            assert check(_Facts(g)) == expected, to_graph6(g)
+            assert check(facts) == expected, to_graph6(g)
+
+
+class TestLemma1ReadsMembership:
+    def test_lemma1_sweep_measures_no_distances(self, monkeypatch):
+        from matchcover import cover
+        from matchcover import graph as graph_mod
+
+        def no_bfs(*args):
+            raise AssertionError("a distance was measured")
+
+        for module in (graph_mod, cover):
+            monkeypatch.setattr(module, "distance_to_set", no_bfs)
+        report = run_sweep(
+            SweepConfig(mode=EXHAUSTIVE_MODE, properties=("lemma1",), max_n=5)
+        )
+        assert report.population == 1100
+        assert report.in_class == report.passes == {"lemma1": 517}
+        assert report.first_counterexample is None
 
 
 class TestInterpretationGap:
