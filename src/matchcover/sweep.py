@@ -4,11 +4,12 @@ A sweep walks a population of graphs (exhaustive over all labeled simple
 graphs up to a size bound, a seeded random family, or an ingested graph6
 stream), evaluates each requested property on the graphs satisfying its
 hypothesis class, and tallies passes and failures.  A population yields
-one facts object per graph.  The exhaustive one also keeps, per chunk and
-n, a two-bit verdict table over edge masks, so "is G - e matching covered"
-is read off the verdict of the labeled graph G - e whenever the chunk has
-already decided it.  Every chunk of work, the whole population in a serial
-sweep, returns one keyed ``Counter`` tally, and one merge sums them.  The
+one facts object per graph.  Facts come from three sources: the fast route
+(random and ingested graphs), the oracle route (re-verification), and, for
+labeled graphs, a per-chunk table of ν per edge mask off which "is G (or
+G - e) matching covered" is read with no blossom search.  Every chunk of
+work, the whole population in a serial sweep, returns one keyed
+``Counter`` tally, and one merge sums them.  The
 first counterexample is minimal under ``(n, graph6)`` ordering no matter
 how the work is scheduled, and any failure detected by the fast predicates
 is re-verified against the enumeration oracle before it is reported.
@@ -37,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from multiprocessing import Pool
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .cover import _covered_without, _no_deletion_covered
 from .cover import allowed_edges, is_matching_covered
@@ -147,6 +148,32 @@ def _pair_bits(n: int) -> dict[Edge, int]:
     return {e: 1 << k for k, e in enumerate(_lex_pairs(n))}
 
 
+@cache
+def _pair_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Per vertex, the mask of its pairs; per pair, the complement of the pairs
+    # at its endpoints, which keeps exactly the pairs sharing no endpoint with it.
+    pairs = _lex_pairs(n)
+    at = tuple(sum(1 << k for k, e in enumerate(pairs) if v in e) for v in range(n))
+    return at, tuple(~(at[u] | at[v]) for u, v in pairs)
+
+
+def _nu_table(n: int, stop: int) -> bytearray:
+    """The matching number of every labeled graph on ``n`` vertices with edge
+    mask below ``stop``, one byte per mask.
+
+    A maximum matching of mask m either avoids m's top pair k or takes it
+    with pairs that share no endpoint with k:
+    ``nu[m] = max(nu[m - bit k], 1 + nu[m & keep[k]])``, both below m.
+    """
+    nu = bytearray(stop)
+    for k, keep in enumerate(_pair_masks(n)[1]):
+        top = 1 << k
+        for m in range(top, min(2 * top, stop)):
+            avoid, take = nu[m - top], nu[m & keep] + 1
+            nu[m] = avoid if avoid > take else take
+    return nu
+
+
 def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(e for k, e in enumerate(_lex_pairs(n)) if mask >> k & 1))
 
@@ -196,10 +223,10 @@ class _Facts:
     """Lazily computed per-graph facts shared across property checks.
 
     ``nu``, ``covered`` and ``_deletion_covered(g, e)`` come from one of
-    three sources, and all else is shared: the fast route here, the same
-    route with ``covered`` and the deletions behind a per-chunk verdict
-    table in :class:`_LabeledFacts`, and the oracle route in
-    :class:`_OracleFacts`.
+    three sources, and all else is shared: the fast route (blossom ν and the
+    allowed-edge kernel) here, the oracle route in :class:`_OracleFacts`,
+    and, for labeled graphs, ``covered`` and the deletions read off a ν
+    table in :class:`_LabeledFacts`.
     """
 
     def __init__(self, g: Graph):
@@ -266,38 +293,44 @@ class _OracleFacts(_Facts):
 
 
 class _LabeledFacts(_Facts):
-    """Fast-route facts of the labeled graph ``g`` with edge mask ``mask``.
+    """Facts of the labeled graph on ``n`` vertices with edge mask ``mask``.
 
-    ``table`` holds two bits per edge mask on ``g.n`` vertices (0 unknown,
-    1 not covered, 3 covered) and is shared by one chunk's graphs of that
-    n.  ``covered`` and G - e's verdict, the entry of ``mask`` with e's bit
-    cleared, are read from it, or computed by the fast route and stored.
+    ``table`` is the chunk's :func:`_nu_table` for this n.  ``covered`` is
+    the nu-difference test read off it (pair k of m is allowed iff
+    ``nu[m & keep[k]] == nu[m] - 1``), G - e's verdict is the same test at
+    ``mask`` with e's bit cleared, and ``no_isolated`` is read from the
+    vertices' pair masks.  ``g`` is built only when a check reads it, and
+    ``nu`` stays the blossom ν, which ``oracle-nu`` checks.
     """
 
-    def __init__(self, g: Graph, mask: int, table: bytearray):
-        super().__init__(g)
+    def __init__(self, n: int, mask: int, table: bytearray):
+        self.n = n
         self.mask = mask
         self.table = table
 
-    def _verdict(self, mask: int, decide: Callable[..., bool], *args) -> bool:
-        table = self.table
-        i, shift = mask >> 2, (mask & 3) << 1
-        state = table[i] >> shift & 3
-        if not state:
-            state = 3 if decide(*args) else 1
-            table[i] |= state << shift
-        return state == 3
+    @cached_property
+    def g(self) -> Graph:
+        return _graph_from_mask(self.n, self.mask)
+
+    def _covered_mask(self, mask: int) -> bool:
+        table, keeps = self.table, _pair_masks(self.n)[1]
+        less = table[mask] - 1
+        return all(table[mask & keep] == less for k, keep in enumerate(keeps) if mask >> k & 1)
 
     @cached_property
     def covered(self) -> bool:
-        return self._verdict(self.mask, is_matching_covered, self.g)
+        return self._covered_mask(self.mask)
 
     def _deletion_covered(self, g: Graph, e: Edge) -> bool:
-        return self._verdict(self.mask ^ _pair_bits(g.n)[e], _covered_without, g, e)
+        return self._covered_mask(self.mask ^ _pair_bits(self.n)[e])
+
+    @cached_property
+    def no_isolated(self) -> bool:
+        return all(self.mask & at for at in _pair_masks(self.n)[0])
 
 
 def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
-    in_class = bool(facts.g.edges) and facts.no_isolated and facts.minimal_covered
+    in_class = facts.no_isolated and facts.minimal_covered and bool(facts.g.edges)
     if not in_class:
         return False, True
     return True, facts.perfect
@@ -478,7 +511,6 @@ def _tally_graphs(population: Iterable[_Facts], properties: Sequence[str]) -> _T
     counts: Counter = Counter()
     best = None
     for facts in population:
-        g = facts.g
         counts["population"] += 1
         for prop in properties:
             member, passed = _CHECKS[prop](facts)
@@ -488,6 +520,7 @@ def _tally_graphs(population: Iterable[_Facts], properties: Sequence[str]) -> _T
             if passed:
                 counts["passes", prop] += 1
                 continue
+            g = facts.g
             _reverify_failure(g, prop)
             counts["failures", prop] += 1
             key = (g.n, to_graph6(g), prop)
@@ -512,10 +545,10 @@ def _population_size(cfg: SweepConfig) -> int:
 
 
 def _labeled_facts(n: int, masks: range) -> Iterator[_LabeledFacts]:
-    # One verdict table per n and chunk, dropped with the chunk.
-    table = bytearray(-(-(1 << (n * (n - 1) // 2)) // 4))
+    # One ν table per n and chunk, from mask 0 to the chunk's stop.
+    table = _nu_table(n, masks.stop)
     for mask in masks:
-        yield _LabeledFacts(_graph_from_mask(n, mask), mask, table)
+        yield _LabeledFacts(n, mask, table)
 
 
 def _facts_for_range(cfg: SweepConfig, lo: int, hi: int) -> Iterator[_Facts]:

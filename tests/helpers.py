@@ -120,3 +120,33 @@ def count_blossom_passes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(matching, "_max_matching_mates", counting)
     return passes
+
+
+def count_deletion_kernel_runs(monkeypatch) -> list[tuple[Graph, Edge]]:
+    """Record every run of the kernel on ``G - e`` (``cover._verdicts_without``)."""
+    runs: list[tuple[Graph, Edge]] = []
+    original = cover._verdicts_without
+
+    def counting(g, e):
+        runs.append((g, e))
+        return original(g, e)
+
+    monkeypatch.setattr(cover, "_verdicts_without", counting)
+    return runs
+
+
+class SerialPool:
+    """Stands in for ``multiprocessing.Pool``: runs a sweep's chunks in order,
+    in this process, so the sweep's chunking can be probed in-process."""
+
+    def __init__(self, processes: int):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]

@@ -422,6 +422,35 @@ class TestInternalErrors:
         assert "internal error:" in err
         assert "RouteDisagreementError" in err  # the traceback follows
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_planted_nu_table_fault_exits_3(self, capsys, monkeypatch, jobs):
+        from matchcover import sweep as sweep_mod
+
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches workers only through fork")
+        built = sweep_mod._nu_table
+
+        # With the three paths on three vertices (masks 3, 5 and 6) read as
+        # nu 0, they read as not covered, so K3 (mask 7), which has no
+        # perfect matching, reads as minimal matching covered.
+        def planted(n, stop):
+            table = built(n, stop)
+            for mask in (3, 5, 6):
+                if n == 3 and mask < stop:
+                    table[mask] = 0
+            return table
+
+        monkeypatch.setattr(sweep_mod, "_nu_table", planted)
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--exhaustive", "--max-n", "4",
+             "--properties", "theorem", "--jobs", jobs],
+        )
+        assert code == 3
+        assert out == ""
+        assert "RouteDisagreementError" in err
+        assert "graph Bw" in err  # K3
+
     def test_any_escaping_exception_exits_3(self, capsys, monkeypatch):
         def broken(g):
             raise ZeroDivisionError("division by zero")

@@ -8,15 +8,20 @@ import pytest
 from matchcover import (
     Graph,
     SweepConfig,
+    delete_edge,
     enumerate_labeled_graphs,
+    enumerate_maximum_matchings,
     has_perfect_matching,
     ingest_graph6_stream,
+    is_matching_covered,
     is_minimal_matching_covered,
+    matching_number,
     random_graph,
     run_sweep,
     sweep_graphs,
     to_graph6,
 )
+from matchcover.graph import isolated_vertices
 from matchcover.sweep import (
     _CHECKS,
     EXHAUSTIVE_MODE,
@@ -25,16 +30,20 @@ from matchcover.sweep import (
     SplitMix64,
     StreamParseError,
     _Facts,
+    _LabeledFacts,
     _labeled_facts,
     _merge_tallies,
+    _nu_table,
     _OracleFacts,
 )
 
 from helpers import (
     C4,
     K4,
+    SerialPool,
     count_blossom_passes,
     count_builds,
+    count_deletion_kernel_runs,
     count_edge_deletions,
     count_scans,
 )
@@ -431,25 +440,41 @@ class TestCounterexampleReporting:
 
 
 class TestOneBuildPerGraph:
+    # The n <= 5 theorem sweep reads covered, no_isolated and every G - e off
+    # the chunk's nu table.  It builds a Graph only for the 565 graphs that are
+    # covered with no isolated vertex, whose deletion loop walks g.edges, and
+    # runs the blossom search only for the 4 in-class graphs' perfect matching.
+    CFG = dict(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=5)
+
     def test_theorem_sweep_builds_each_graph_once(self, monkeypatch):
         built = count_builds(monkeypatch)
         deletions = count_edge_deletions(monkeypatch)
-        report = run_sweep(
-            SweepConfig(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=5)
-        )
+        report = run_sweep(SweepConfig(**self.CFG))
         assert report.population == 1100
-        assert len(built) == 1100
+        assert len(built) == 565 <= report.population
+        assert len(set(built)) == len(built)
         assert deletions == []
 
     def test_theorem_sweep_runs_at_most_one_blossom_pass_per_graph(self, monkeypatch):
         passes = count_blossom_passes(monkeypatch)
-        report = run_sweep(
-            SweepConfig(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=5)
-        )
-        # G - e is read off the verdict of the labeled graph G - e wherever the
-        # sweep already decided it; rerunning the kernel per deletion made 1,624.
-        assert report.population == 1100
-        assert len(passes) <= 1100
+        kernel_runs = count_deletion_kernel_runs(monkeypatch)
+        report = run_sweep(SweepConfig(**self.CFG))
+        assert report.in_class == {"theorem": 4}
+        assert len(passes) == 4
+        assert kernel_runs == []
+
+    @pytest.mark.parametrize("jobs", [2, 4, 8])
+    def test_every_chunking_does_the_same_work(self, monkeypatch, jobs):
+        from matchcover import sweep as sweep_mod
+
+        # Each chunk fills its own table from mask 0, so none misses.
+        monkeypatch.setattr(sweep_mod, "Pool", SerialPool)
+        built = count_builds(monkeypatch)
+        passes = count_blossom_passes(monkeypatch)
+        kernel_runs = count_deletion_kernel_runs(monkeypatch)
+        report = run_sweep(SweepConfig(jobs=jobs, **self.CFG))
+        assert report.in_class == {"theorem": 4}
+        assert (len(built), len(passes), len(kernel_runs)) == (565, 4, 0)
 
 
 class TestOneEnumerationPerGraph:
@@ -509,7 +534,7 @@ class TestRouteEquivalence:
     @pytest.mark.parametrize("prop", ["theorem", "lemma1", "lemma2", "corollary"])
     def test_fast_and_oracle_facts_agree(self, prop):
         # Every labeled graph with n <= 5: 1 + 1 + 2 + 8 + 64 + 1024 = 1100,
-        # with the labeled facts sharing one verdict table per n, as in a sweep.
+        # with the labeled facts sharing one nu table per n, as in a sweep.
         labeled = [
             facts
             for n in range(6)
@@ -522,6 +547,43 @@ class TestRouteEquivalence:
             expected = check(_OracleFacts(g))
             assert check(_Facts(g)) == expected, to_graph6(g)
             assert check(facts) == expected, to_graph6(g)
+
+
+class TestNuTable:
+    def test_every_mask_up_to_n6_agrees_with_both_routes(self):
+        # 1 + 1 + 2 + 8 + 64 + 1024 + 32768 = 33,868 labeled graphs.
+        checked = 0
+        for n in range(7):
+            stop = 1 << (n * (n - 1) // 2)
+            table = _nu_table(n, stop)
+            assert len(table) == stop
+            for mask in range(stop):
+                facts = _LabeledFacts(n, mask, table)
+                g = facts.g
+                ms = enumerate_maximum_matchings(g)
+                assert table[mask] == matching_number(g) == ms.nu, to_graph6(g)
+                covered = is_matching_covered(g)
+                assert facts.covered == covered == (ms.allowed == g.edges), to_graph6(g)
+                assert facts.no_isolated == (not isolated_vertices(g))
+                checked += 1
+        assert checked == 33868
+
+    def test_seeded_n7_masks_agree_with_the_blossom_route(self):
+        table = _nu_table(7, 1 << 21)
+        rng = SplitMix64(11)
+        for _ in range(2000):
+            mask = rng.next_uint64() >> 43  # 21 bits: one coin per vertex pair
+            facts = _LabeledFacts(7, mask, table)
+            g = facts.g
+            assert table[mask] == matching_number(g), to_graph6(g)
+            assert facts.covered == is_matching_covered(g), to_graph6(g)
+            for e in g.edges:
+                expected = is_matching_covered(delete_edge(g, e))
+                assert facts._deletion_covered(g, e) == expected, (to_graph6(g), e)
+
+    @pytest.mark.parametrize("stop", [1, 2, 3, 1000, 1 << 14, (1 << 15) - 1])
+    def test_a_chunk_table_is_a_prefix_of_the_whole_table(self, stop):
+        assert _nu_table(6, stop) == _nu_table(6, 1 << 15)[:stop]
 
 
 class TestLemma1ReadsMembership:
