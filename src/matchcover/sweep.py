@@ -7,10 +7,10 @@ hypothesis class, and tallies passes and failures.  A population yields
 one facts object per graph.  Facts come from three sources: the fast route
 (random and ingested graphs), the oracle route (re-verification), and, for
 labeled graphs, a per-chunk table of ν per edge mask off which "is G (or
-G - e) matching covered" is read with no blossom search.  Every chunk of
-work, the whole population in a serial sweep, returns one keyed
-``Counter`` tally, and one merge sums them.  The
-first counterexample is minimal under ``(n, graph6)`` ordering no matter
+G - e) matching covered" is read over the mask's set bits, with no blossom
+search and no ``Graph``.  Every chunk of work, the whole population in a
+serial sweep, returns one keyed ``Counter`` tally, and one merge sums them.
+The first counterexample is minimal under ``(n, graph6)`` ordering no matter
 how the work is scheduled, and any failure detected by the fast predicates
 is re-verified against the enumeration oracle before it is reported.
 
@@ -36,7 +36,7 @@ import dataclasses
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from multiprocessing import Pool
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -138,36 +138,39 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 @cache
-def _lex_pairs(n: int) -> tuple[Edge, ...]:
-    return tuple(Edge(u, v) for u in range(n) for v in range(u + 1, n))
+def _pair_edges(n: int) -> dict[int, Edge]:
+    # Each vertex pair by its bit in an edge mask on n vertices, in lexicographic order.
+    pairs = (Edge(u, v) for u in range(n) for v in range(u + 1, n))
+    return {1 << k: e for k, e in enumerate(pairs)}
 
 
 @cache
-def _pair_bits(n: int) -> dict[Edge, int]:
-    # Each vertex pair's bit in an edge mask on n vertices.
-    return {e: 1 << k for k, e in enumerate(_lex_pairs(n))}
+def _pair_masks(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    # Per vertex, the mask of its pairs; per pair's bit, the complement of the
+    # pairs at its endpoints, which keeps exactly the pairs sharing no endpoint.
+    pairs = _pair_edges(n).items()
+    at = tuple(sum(bit for bit, e in pairs if v in e) for v in range(n))
+    return at, {bit: ~(at[u] | at[v]) for bit, (u, v) in pairs}
 
 
-@cache
-def _pair_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Per vertex, the mask of its pairs; per pair, the complement of the pairs
-    # at its endpoints, which keeps exactly the pairs sharing no endpoint with it.
-    pairs = _lex_pairs(n)
-    at = tuple(sum(1 << k for k, e in enumerate(pairs) if v in e) for v in range(n))
-    return at, tuple(~(at[u] | at[v]) for u, v in pairs)
+def _set_bits(mask: int) -> Iterator[int]:
+    # The set bits of mask, lowest first.
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _nu_table(n: int, stop: int) -> bytearray:
     """The matching number of every labeled graph on ``n`` vertices with edge
     mask below ``stop``, one byte per mask.
 
-    A maximum matching of mask m either avoids m's top pair k or takes it
-    with pairs that share no endpoint with k:
-    ``nu[m] = max(nu[m - bit k], 1 + nu[m & keep[k]])``, both below m.
+    A maximum matching of mask m either avoids m's top pair, bit t, or takes
+    it with pairs that share no endpoint with it:
+    ``nu[m] = max(nu[m - t], 1 + nu[m & keep[t]])``, both below m.
     """
     nu = bytearray(stop)
-    for k, keep in enumerate(_pair_masks(n)[1]):
-        top = 1 << k
+    for top, keep in _pair_masks(n)[1].items():
         for m in range(top, min(2 * top, stop)):
             avoid, take = nu[m - top], nu[m & keep] + 1
             nu[m] = avoid if avoid > take else take
@@ -175,7 +178,7 @@ def _nu_table(n: int, stop: int) -> bytearray:
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    return Graph(n, tuple(e for k, e in enumerate(_lex_pairs(n)) if mask >> k & 1))
+    return Graph(n, tuple(map(_pair_edges(n).__getitem__, _set_bits(mask))))
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -219,58 +222,69 @@ def ingest_graph6_stream(
 # ---------------------------------------------------------------------------
 
 
+class _fact:
+    """``cached_property`` without the lock Python 3.11 takes on each first read:
+    the value goes into the instance ``__dict__``, which then shadows the descriptor."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 class _Facts:
     """Lazily computed per-graph facts shared across property checks.
 
-    ``nu``, ``covered`` and ``_deletion_covered(g, e)`` come from one of
-    three sources, and all else is shared: the fast route (blossom ν and the
-    allowed-edge kernel) here, the oracle route in :class:`_OracleFacts`,
-    and, for labeled graphs, ``covered`` and the deletions read off a ν
-    table in :class:`_LabeledFacts`.
+    ``nu``, ``covered`` and the deletion test come from one of three sources,
+    and all else is shared: the fast route (blossom ν and the allowed-edge
+    kernel, ``_deletion_covered(g, e)`` per edge) here, the oracle route in
+    :class:`_OracleFacts`, and, for labeled graphs, ``covered`` and
+    ``minimal_covered`` read off a ν table in :class:`_LabeledFacts`.
     """
 
     def __init__(self, g: Graph):
         self.g = g
 
-    @cached_property
+    @_fact
     def nu(self) -> int:
         return matching_number(self.g)
 
     _deletion_covered = staticmethod(_covered_without)
 
-    @cached_property
+    @_fact
     def within_guard(self) -> bool:
         return len(self.g.edges) <= ENUMERATION_EDGE_LIMIT
 
-    @cached_property
+    @_fact
     def connected(self) -> bool:
         return is_connected(self.g)
 
-    @cached_property
+    @_fact
     def covered(self) -> bool:
         return is_matching_covered(self.g)
 
-    @cached_property
+    @_fact
     def minimal_covered(self) -> bool:
         return self.covered and _no_deletion_covered(self.g, self._deletion_covered)
 
-    @cached_property
+    @_fact
     def perfect(self) -> bool:
         return _covers_all(self.g.n, self.nu)
 
-    @cached_property
+    @_fact
     def no_isolated(self) -> bool:
         return not isolated_vertices(self.g)
 
-    @cached_property
+    @_fact
     def ms(self) -> MatchingSet:
         return enumerate_maximum_matchings(self.g)
 
-    @cached_property
+    @_fact
     def parts(self):
         return bipartition(self.g)
 
-    @cached_property
+    @_fact
     def missed_by_some(self) -> frozenset[int]:
         everyone = frozenset(range(self.g.n))
         return frozenset().union(*(everyone - f.covered_vertices() for f in self.ms))
@@ -279,11 +293,11 @@ class _Facts:
 class _OracleFacts(_Facts):
     """The same facts with nu and allowed edges taken from enumeration only."""
 
-    @cached_property
+    @_fact
     def nu(self) -> int:
         return self.ms.nu
 
-    @cached_property
+    @_fact
     def covered(self) -> bool:
         return self.ms.allowed == self.g.edges
 
@@ -296,11 +310,12 @@ class _LabeledFacts(_Facts):
     """Facts of the labeled graph on ``n`` vertices with edge mask ``mask``.
 
     ``table`` is the chunk's :func:`_nu_table` for this n.  ``covered`` is
-    the nu-difference test read off it (pair k of m is allowed iff
-    ``nu[m & keep[k]] == nu[m] - 1``), G - e's verdict is the same test at
-    ``mask`` with e's bit cleared, and ``no_isolated`` is read from the
-    vertices' pair masks.  ``g`` is built only when a check reads it, and
-    ``nu`` stays the blossom ν, which ``oracle-nu`` checks.
+    the nu-difference test read off it over m's set bits (the pair of bit b
+    is allowed iff ``nu[m & keep[b]] == nu[m] - 1``); ``minimal_covered``
+    runs that test for each G - e at ``mask ^ b``, over the same bits and
+    with no ``Graph``; ``no_isolated`` is read from the vertices' pair masks.
+    ``g`` is built only when a check reads it, and ``nu`` stays the blossom
+    ν, which ``oracle-nu`` checks.
     """
 
     def __init__(self, n: int, mask: int, table: bytearray):
@@ -308,23 +323,28 @@ class _LabeledFacts(_Facts):
         self.mask = mask
         self.table = table
 
-    @cached_property
+    @_fact
     def g(self) -> Graph:
         return _graph_from_mask(self.n, self.mask)
 
     def _covered_mask(self, mask: int) -> bool:
-        table, keeps = self.table, _pair_masks(self.n)[1]
+        table, keep = self.table, _pair_masks(self.n)[1]
         less = table[mask] - 1
-        return all(table[mask & keep] == less for k, keep in enumerate(keeps) if mask >> k & 1)
+        for low in _set_bits(mask):
+            if table[mask & keep[low]] != less:
+                return False
+        return True
 
-    @cached_property
+    @_fact
     def covered(self) -> bool:
         return self._covered_mask(self.mask)
 
-    def _deletion_covered(self, g: Graph, e: Edge) -> bool:
-        return self._covered_mask(self.mask ^ _pair_bits(self.n)[e])
+    @_fact
+    def minimal_covered(self) -> bool:
+        mask = self.mask
+        return self.covered and not any(self._covered_mask(mask ^ b) for b in _set_bits(mask))
 
-    @cached_property
+    @_fact
     def no_isolated(self) -> bool:
         return all(self.mask & at for at in _pair_masks(self.n)[0])
 

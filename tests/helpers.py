@@ -150,3 +150,14 @@ class SerialPool:
 
     def map(self, func, items):
         return [func(item) for item in items]
+
+
+def lex_pairs(n: int) -> list[Edge]:
+    """The vertex pairs on ``n`` vertices in lexicographic order; bit k of an
+    edge mask stands for pair k."""
+    return [Edge(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def labeled_graph(n: int, mask: int) -> Graph:
+    """The labeled graph with edge mask ``mask``, built by testing every pair."""
+    return Graph(n, [e for k, e in enumerate(lex_pairs(n)) if mask >> k & 1])

@@ -35,6 +35,7 @@ from matchcover.sweep import (
     _merge_tallies,
     _nu_table,
     _OracleFacts,
+    _fact,
 )
 
 from helpers import (
@@ -46,6 +47,8 @@ from helpers import (
     count_deletion_kernel_runs,
     count_edge_deletions,
     count_scans,
+    labeled_graph,
+    lex_pairs,
 )
 
 
@@ -440,18 +443,19 @@ class TestCounterexampleReporting:
 
 
 class TestOneBuildPerGraph:
-    # The n <= 5 theorem sweep reads covered, no_isolated and every G - e off
-    # the chunk's nu table.  It builds a Graph only for the 565 graphs that are
-    # covered with no isolated vertex, whose deletion loop walks g.edges, and
-    # runs the blossom search only for the 4 in-class graphs' perfect matching.
+    # The n <= 5 theorem sweep reads no_isolated, covered and minimal_covered,
+    # every G - e included, off the chunk's nu table.  It builds a Graph only
+    # for the 4 in-class graphs, whose perfect matching takes the blossom
+    # search, and for the n = 0 graph, whose edge count the check reads.
     CFG = dict(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=5)
+    BUILT = [(0, 0), (4, 4), (4, 4), (4, 4), (4, 6)]  # (n, edges): C4 three times, K4
 
     def test_theorem_sweep_builds_each_graph_once(self, monkeypatch):
         built = count_builds(monkeypatch)
         deletions = count_edge_deletions(monkeypatch)
         report = run_sweep(SweepConfig(**self.CFG))
         assert report.population == 1100
-        assert len(built) == 565 <= report.population
+        assert [(g.n, len(g.edges)) for g in built] == self.BUILT
         assert len(set(built)) == len(built)
         assert deletions == []
 
@@ -463,7 +467,7 @@ class TestOneBuildPerGraph:
         assert len(passes) == 4
         assert kernel_runs == []
 
-    @pytest.mark.parametrize("jobs", [2, 4, 8])
+    @pytest.mark.parametrize("jobs", [1, 2, 4, 8])
     def test_every_chunking_does_the_same_work(self, monkeypatch, jobs):
         from matchcover import sweep as sweep_mod
 
@@ -474,7 +478,9 @@ class TestOneBuildPerGraph:
         kernel_runs = count_deletion_kernel_runs(monkeypatch)
         report = run_sweep(SweepConfig(jobs=jobs, **self.CFG))
         assert report.in_class == {"theorem": 4}
-        assert (len(built), len(passes), len(kernel_runs)) == (565, 4, 0)
+        assert [(g.n, len(g.edges)) for g in built] == self.BUILT
+        assert len(set(built)) == len(built)
+        assert (len(passes), len(kernel_runs)) == (4, 0)
 
 
 class TestOneEnumerationPerGraph:
@@ -570,6 +576,7 @@ class TestNuTable:
 
     def test_seeded_n7_masks_agree_with_the_blossom_route(self):
         table = _nu_table(7, 1 << 21)
+        bits = {e: 1 << k for k, e in enumerate(lex_pairs(7))}
         rng = SplitMix64(11)
         for _ in range(2000):
             mask = rng.next_uint64() >> 43  # 21 bits: one coin per vertex pair
@@ -579,11 +586,83 @@ class TestNuTable:
             assert facts.covered == is_matching_covered(g), to_graph6(g)
             for e in g.edges:
                 expected = is_matching_covered(delete_edge(g, e))
-                assert facts._deletion_covered(g, e) == expected, (to_graph6(g), e)
+                assert facts._covered_mask(mask ^ bits[e]) == expected, (to_graph6(g), e)
 
     @pytest.mark.parametrize("stop", [1, 2, 3, 1000, 1 << 14, (1 << 15) - 1])
     def test_a_chunk_table_is_a_prefix_of_the_whole_table(self, stop):
         assert _nu_table(6, stop) == _nu_table(6, 1 << 15)[:stop]
+
+
+class TestLabeledMinimalCovered:
+    # The labeled facts run the deletion test over the mask's set bits, G - e
+    # at the mask without e's bit; the fast and oracle routes walk g.edges of
+    # a graph built here by testing every pair.
+    @staticmethod
+    def agree(n, mask, table):
+        g = labeled_graph(n, mask)
+        facts = _LabeledFacts(n, mask, table)
+        expected = is_minimal_matching_covered(g)
+        assert facts.minimal_covered == expected == _OracleFacts(g).minimal_covered, (
+            to_graph6(g)
+        )
+        assert facts.g == g
+        return expected
+
+    def test_every_mask_up_to_n6_agrees_with_both_routes(self):
+        found = Counter()
+        for n in range(7):
+            stop = 1 << (n * (n - 1) // 2)
+            table = _nu_table(n, stop)
+            for mask in range(stop):
+                found[n] += self.agree(n, mask, table)
+        # The edgeless graphs count: they are vacuously minimal matching covered.
+        assert found == {0: 1, 1: 1, 2: 1, 3: 1, 4: 5, 5: 21, 6: 406}
+
+    def test_seeded_n7_masks_agree_with_both_routes(self):
+        # The masks of TestNuTable's n = 7 check.
+        table = _nu_table(7, 1 << 21)
+        rng = SplitMix64(11)
+        found = sum(self.agree(7, rng.next_uint64() >> 43, table) for _ in range(2000))
+        assert found == 3
+
+
+class TestLazyFacts:
+    def test_each_fact_is_computed_once_per_facts_object(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        calls = []
+        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: calls.append(g) or 2)
+        facts = _Facts(C4)
+        assert facts.nu == 2 and calls == [C4]
+        # perfect reads nu, which is stored by now.
+        assert facts.perfect is True and facts.nu == 2 and facts.perfect is True
+        assert calls == [C4]
+        assert _Facts(C4).nu == 2 and calls == [C4, C4]
+
+    def test_labeled_graph_is_built_once(self, monkeypatch):
+        facts = _LabeledFacts(4, 63, _nu_table(4, 64))
+        built = count_builds(monkeypatch)
+        assert facts.g is facts.g
+        assert facts.g == K4 and len(built) == 1
+
+    def test_oracle_overrides_still_win(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        def fast_route(g):
+            raise AssertionError("the oracle facts ran the fast route")
+
+        monkeypatch.setattr(sweep_mod, "matching_number", fast_route)
+        monkeypatch.setattr(sweep_mod, "is_matching_covered", fast_route)
+        facts = _OracleFacts(K4)
+        assert (facts.nu, facts.covered, facts.perfect) == (2, True, True)
+        assert facts.minimal_covered is True
+
+    def test_class_attribute_is_the_descriptor(self):
+        for cls in (_Facts, _OracleFacts, _LabeledFacts):
+            for name in ("nu", "covered", "minimal_covered", "perfect", "ms"):
+                assert isinstance(getattr(cls, name), _fact)
+        assert _OracleFacts.nu is _OracleFacts.__dict__["nu"] is not _Facts.nu
+        assert _LabeledFacts.g is _LabeledFacts.__dict__["g"]
 
 
 class TestLemma1ReadsMembership:
