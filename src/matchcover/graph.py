@@ -8,10 +8,8 @@ rejected at construction time.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -60,6 +58,18 @@ def _is_normal_form(edges: tuple, n: int) -> bool:
     return True
 
 
+class _fact:
+    """The package's lazy attribute.  The first read stores the value in the
+    instance ``__dict__``, which then shadows this non-data descriptor; unlike
+    the standard library's cached property on Python 3.11, no lock is taken."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
@@ -67,7 +77,8 @@ class Graph:
     ``edges`` is normalized at construction: pairs are reordered to ``u < v``
     and sorted (a sorted ``Edge`` tuple is only checked); loops, duplicates
     and out-of-range endpoints raise ``ValueError``.  The ``n = 0`` graph is
-    valid (and counts as connected and bipartite).
+    valid (and counts as connected and bipartite).  Equality and hashing read
+    ``n`` and ``edges`` alone, so a matching binds to every equal graph.
     """
 
     n: int
@@ -86,7 +97,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
         object.__setattr__(self, "edges", normalized)
 
-    @cached_property
+    @_fact
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists, each sorted ascending."""
         # Sorted edges give every (u, x) with u < x before any (x, v), so
@@ -97,15 +108,9 @@ class Graph:
             neighbors[v].append(u)
         return tuple(map(tuple, neighbors))
 
-    @cached_property
+    @_fact
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Stable identifier of the canonical graph, used to bind matchings."""
-        text = f"{self.n}:" + ";".join(f"{u},{v}" for u, v in self.edges)
-        return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph, _fact, edge
 
 # Even pruned, the backtracking walk over matchings is exponential in the
 # edge count; fail loudly beyond desk scale.
@@ -40,13 +39,13 @@ class BindingError(ValueError):
 class Matching:
     """A set of pairwise vertex-disjoint edges, bound to its graph.
 
-    Ordering and equality compare the sorted edge tuple, so collections of
-    matchings sort lexicographically.  The fingerprint ties the matching to
-    the graph it was computed on; operations reject cross-graph use.
+    Ordering, equality and hashing read the sorted edge tuple alone, so
+    matchings sort lexicographically.  Operations given a graph not equal to
+    ``graph``, the one the matching was computed on, raise :class:`BindingError`.
     """
 
     edges: tuple[Edge, ...]
-    fingerprint: str = field(compare=False)
+    graph: Graph = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, g: Graph, edges: Iterable[tuple[int, int]]) -> "Matching":
@@ -58,7 +57,7 @@ class Matching:
             if e.u in seen or e.v in seen:
                 raise ValueError(f"edges share vertex at ({e.u}, {e.v})")
             seen.update(e)
-        return cls(normalized, g.fingerprint)
+        return cls(normalized, g)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -80,6 +79,7 @@ class MatchingSet:
 
     ``nu`` is the common cardinality.  Built by exhaustive enumeration, so it
     is the definitional object the fast predicates are validated against.
+    Every member is bound to ``graph``.
     """
 
     graph: Graph
@@ -92,14 +92,14 @@ class MatchingSet:
     def __iter__(self):
         return iter(self.matchings)
 
-    @cached_property
+    @_fact
     def allowed(self) -> tuple[Edge, ...]:
         """The allowed edges, sorted: the union of all the maximum matchings."""
         return tuple(sorted({e for f in self.matchings for e in f.edges}))
 
 
 def _check_binding(g: Graph, f: Matching) -> None:
-    if f.fingerprint != g.fingerprint:
+    if f.graph != g:
         raise BindingError("matching is bound to a different graph")
 
 
@@ -199,7 +199,7 @@ def maximum_matching(g: Graph) -> Matching:
     """One maximum-cardinality matching, deterministic for a fixed graph."""
     mate = _max_matching_mates(g.n, g.adjacency)
     edges = tuple(Edge(v, mate[v]) for v in range(g.n) if v < mate[v])
-    return Matching(edges, g.fingerprint)
+    return Matching(edges, g)
 
 
 def matching_number(g: Graph) -> int:
@@ -305,7 +305,7 @@ def enumerate_maximum_matchings(g: Graph) -> MatchingSet:
     nu, raw = _scan_matchings(g)
     # Matching compares by its edges alone, so sorting the raw edge tuples
     # sorts the matchings.
-    matchings = tuple(Matching(edges, g.fingerprint) for edges in sorted(raw))
+    matchings = tuple(Matching(edges, g) for edges in sorted(raw))
     return MatchingSet(g, matchings, nu)
 
 

@@ -47,6 +47,7 @@ from .graph import (
     Edge,
     Graph,
     ParseError,
+    _fact,
     bipartition,
     delete_edge,
     is_connected,
@@ -202,35 +203,28 @@ def ingest_graph6_stream(
 
     Blank lines are skipped.  ``policy="strict"`` raises
     :class:`StreamParseError` naming the offending line; ``policy="skip"``
-    drops malformed lines.
+    drops malformed lines; any other policy raises ``ValueError`` on the call.
     """
     if policy not in ("strict", "skip"):
         raise ValueError(f"unknown policy {policy!r}")
-    for line_number, line in enumerate(reader, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            yield parse_graph6(stripped)
-        except ParseError as exc:
-            if policy == "strict":
-                raise StreamParseError(line_number, str(exc)) from exc
+
+    def parsed() -> Iterator[Graph]:
+        for line_number, line in enumerate(reader, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                yield parse_graph6(stripped)
+            except ParseError as exc:
+                if policy == "strict":
+                    raise StreamParseError(line_number, str(exc)) from exc
+
+    return parsed()
 
 
 # ---------------------------------------------------------------------------
 # Property evaluation
 # ---------------------------------------------------------------------------
-
-
-class _fact:
-    """``cached_property`` without the lock Python 3.11 takes on each first read:
-    the value goes into the instance ``__dict__``, which then shadows the descriptor."""
-
-    def __init__(self, func):
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, obj, cls=None):
-        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 class _Facts:

@@ -474,6 +474,13 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert result.stdout == expected
 
+    def test_import_loads_no_hashlib(self):
+        # Matchings bind to their Graph, so nothing in the package hashes.
+        code = "import sys, matchcover.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_console_script(self, capsys):
         import shutil
 

@@ -9,11 +9,14 @@ nauty-compatible codec, which also backs the exhaustive round-trip test.
 import pytest
 
 from matchcover import (
+    BindingError,
     Edge,
     EdgeListParseError,
     Graph,
     Graph6ParseError,
+    Matching,
     bipartition,
+    covered_and_missed,
     delete_edge,
     delete_vertices,
     distance,
@@ -21,6 +24,7 @@ from matchcover import (
     drop_isolated,
     incident_edges,
     is_connected,
+    is_perfect,
     parse_edge_list,
     parse_graph6,
     to_dot,
@@ -77,9 +81,19 @@ class TestGraphConstruction:
                 neighbors = sorted(x for e in g.edges for x in e if v in e and x != v)
                 assert rebuilt.adjacency[v] == tuple(neighbors)
 
-    def test_fingerprint_distinguishes_graphs(self):
-        assert K3.fingerprint != C4.fingerprint
-        assert K3.fingerprint == Graph(3, [(1, 2), (0, 2), (0, 1)]).fingerprint
+    def test_matchings_bind_to_equal_graphs(self):
+        # An equal but distinct K3 accepts K3's matching; C4 and P3 (another
+        # 3-vertex graph with the edge) reject it in both operations.
+        twin = Graph(3, [(1, 2), (0, 2), (0, 1)])
+        assert twin is not K3 and twin == K3 and hash(twin) == hash(K3)
+        f = Matching.of(K3, [(0, 1)])
+        assert covered_and_missed(twin, f) == (frozenset({0, 1}), frozenset({2}))
+        assert is_perfect(twin, f) is False
+        for other in (C4, P3):
+            with pytest.raises(BindingError):
+                covered_and_missed(other, f)
+            with pytest.raises(BindingError):
+                is_perfect(other, f)
 
 
 class TestNormalFormCheck:

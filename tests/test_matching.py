@@ -65,7 +65,7 @@ class TestMaximumMatching:
         assert maximum_matching(K4) == maximum_matching(K4)
 
     def test_bound_to_graph(self):
-        assert maximum_matching(C4).fingerprint == C4.fingerprint
+        assert maximum_matching(C4).graph == C4
 
     def test_blossom_needs_contraction(self):
         # Two triangles joined by a bridge: greedy + bipartite-style search

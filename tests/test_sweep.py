@@ -7,6 +7,7 @@ import pytest
 
 from matchcover import (
     Graph,
+    MatchingSet,
     SweepConfig,
     delete_edge,
     enumerate_labeled_graphs,
@@ -140,6 +141,13 @@ class TestIngest:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             list(ingest_graph6_stream(io.StringIO("A_"), policy="lenient"))
+
+    def test_unknown_policy_raises_on_the_call(self):
+        # No next(): the policy is checked before any line is read.
+        stream = io.StringIO("A_\n")
+        with pytest.raises(ValueError, match="lenient"):
+            ingest_graph6_stream(stream, policy="lenient")
+        assert stream.tell() == 0
 
 
 class TestConfigValidation:
@@ -663,6 +671,35 @@ class TestLazyFacts:
                 assert isinstance(getattr(cls, name), _fact)
         assert _OracleFacts.nu is _OracleFacts.__dict__["nu"] is not _Facts.nu
         assert _LabeledFacts.g is _LabeledFacts.__dict__["g"]
+
+    # The package's other lazy attributes use the same descriptor.
+    PACKAGE_FACTS = pytest.mark.parametrize(
+        "owner,name,make",
+        [
+            (Graph, "adjacency", lambda: Graph(4, C4.edges)),
+            (Graph, "edge_set", lambda: Graph(4, C4.edges)),
+            (MatchingSet, "allowed", lambda: enumerate_maximum_matchings(C4)),
+        ],
+        ids=["adjacency", "edge_set", "allowed"],
+    )
+
+    @PACKAGE_FACTS
+    def test_package_attribute_is_computed_once_per_object(self, monkeypatch, owner, name, make):
+        descriptor, calls = owner.__dict__[name], []
+        original = descriptor.func
+        monkeypatch.setattr(descriptor, "func", lambda obj: calls.append(obj) or original(obj))
+        obj = make()
+        assert getattr(obj, name) is getattr(obj, name)
+        assert len(calls) == 1 and calls[0] is obj
+        getattr(make(), name)
+        assert len(calls) == 2
+
+    @PACKAGE_FACTS
+    def test_package_attribute_class_access_is_the_descriptor(self, owner, name, make):
+        descriptor = getattr(owner, name)
+        assert isinstance(descriptor, _fact) and descriptor is owner.__dict__[name]
+        assert descriptor.func.__name__ == name
+        assert getattr(make(), name) == descriptor.func(make())
 
 
 class TestLemma1ReadsMembership:
