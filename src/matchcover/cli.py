@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import cover, sweep as sweep_mod
 from .cover import RefutationError
-from .graph import GRAPH6_MAX_N, Graph, ParseError, parse_edge_list, parse_graph6, to_dot, to_graph6
+from .graph import Graph, ParseError, check_graph6_size, parse_edge_list, parse_graph6, to_dot, to_graph6
 from .matching import GuardExceededError, matchings_containing
 
 EXIT_OK = 0
@@ -43,8 +43,7 @@ def _edge_pairs(edges) -> list[list[int]]:
 def _load_graph(args: argparse.Namespace) -> Graph:
     g = _read_graph(args)
     # Every reply echoes its input as graph6: refuse it before doing any work.
-    if g.n > GRAPH6_MAX_N:
-        raise ValueError(f"input graphs are limited to n <= {GRAPH6_MAX_N}, got n={g.n}")
+    check_graph6_size(g.n)
     return g
 
 

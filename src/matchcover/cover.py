@@ -41,7 +41,6 @@ from .graph import (
     to_graph6,
 )
 from .matching import (
-    ENUMERATION_EDGE_LIMIT,
     Matching,
     MatchingSet,
     allowed_verdicts,
@@ -50,6 +49,7 @@ from .matching import (
     has_perfect_matching,
     matching_number,
     matchings_containing,
+    within_guard,
     _allowed_verdicts,
     _covers_all,
 )
@@ -275,7 +275,7 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
     e = edge(*e)
     _require(is_matching_covered(g), "graph must be matching covered")
     _edge_of(g, e)
-    ms = enumerate_maximum_matchings(g) if len(g.edges) <= ENUMERATION_EDGE_LIMIT else None
+    ms = enumerate_maximum_matchings(g) if within_guard(g) else None
     return _dominated_edge(g, e, ms)
 
 

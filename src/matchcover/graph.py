@@ -171,10 +171,15 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def check_graph6_size(n: int) -> None:
+    """The one n <= 62 check of every input and output path: ``ValueError`` above it."""
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 is limited to n <= {GRAPH6_MAX_N}, got n={n}")
+
+
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header, no newline)."""
-    if g.n > GRAPH6_MAX_N:
-        raise ValueError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
+    check_graph6_size(g.n)
     present = g.edge_set
     bits = [1 if (u, v) in present else 0 for u, v in _g6_pairs(g.n)]
     while len(bits) % 6:
@@ -354,22 +359,15 @@ def is_connected(g: Graph) -> bool:
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """A 2-coloring ``(U, W)`` with every edge crossing, or ``None`` on an odd cycle.
 
-    The part containing the smallest-index vertex of each component is ``U``.
+    ``U`` holds each component's lowest vertex and those at even distance from it.
     """
     color = [-1] * g.n
     for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    u = frozenset(v for v in range(g.n) if color[v] == 0)
-    w = frozenset(v for v in range(g.n) if color[v] == 1)
-    return u, w
+        if color[root] < 0:
+            for v, d in enumerate(_bfs_distances(g, root)):
+                if d >= 0:
+                    color[v] = d & 1
+    if any(color[u] == color[v] for u, v in g.edges):
+        return None
+    u = frozenset(v for v in range(g.n) if not color[v])
+    return u, frozenset(range(g.n)) - u

@@ -290,6 +290,11 @@ def _scan_matchings(g: Graph) -> tuple[int, list[tuple[Edge, ...]]]:
     return best_size, best
 
 
+def within_guard(g: Graph) -> bool:
+    """Whether the exhaustive routines accept ``g``: at most ENUMERATION_EDGE_LIMIT edges."""
+    return len(g.edges) <= ENUMERATION_EDGE_LIMIT
+
+
 def brute_force_matching_number(g: Graph) -> int:
     """Maximum matching cardinality by exhaustive enumeration (the oracle)."""
     return enumerate_maximum_matchings(g).nu
@@ -297,7 +302,7 @@ def brute_force_matching_number(g: Graph) -> int:
 
 def enumerate_maximum_matchings(g: Graph) -> MatchingSet:
     """All maximum matchings, sorted; the empty matching when the graph is edgeless."""
-    if len(g.edges) > ENUMERATION_EDGE_LIMIT:
+    if not within_guard(g):
         raise GuardExceededError(
             f"exhaustive search limited to {ENUMERATION_EDGE_LIMIT} edges, "
             f"graph has {len(g.edges)}"

@@ -49,6 +49,7 @@ from .graph import (
     ParseError,
     _fact,
     bipartition,
+    check_graph6_size,
     delete_edge,
     is_connected,
     isolated_vertices,
@@ -56,20 +57,12 @@ from .graph import (
     to_graph6,
 )
 from .matching import (
-    ENUMERATION_EDGE_LIMIT,
+    GuardExceededError,
     MatchingSet,
     _covers_all,
     enumerate_maximum_matchings,
     matching_number,
-)
-
-PROPERTY_NAMES = (
-    "theorem",
-    "lemma1",
-    "lemma2",
-    "corollary",
-    "oracle-nu",
-    "oracle-allowed",
+    within_guard,
 )
 
 EXHAUSTIVE_MODE = "exhaustive-labeled"
@@ -247,10 +240,6 @@ class _Facts:
     _deletion_covered = staticmethod(_covered_without)
 
     @_fact
-    def within_guard(self) -> bool:
-        return len(self.g.edges) <= ENUMERATION_EDGE_LIMIT
-
-    @_fact
     def connected(self) -> bool:
         return is_connected(self.g)
 
@@ -379,13 +368,13 @@ def _check_corollary(facts: _Facts) -> tuple[bool, bool]:
 
 
 def _check_oracle_nu(facts: _Facts) -> tuple[bool, bool]:
-    if not facts.within_guard:
+    if not within_guard(facts.g):
         return False, True
     return True, facts.nu == facts.ms.nu
 
 
 def _check_oracle_allowed(facts: _Facts) -> tuple[bool, bool]:
-    if not facts.within_guard:
+    if not within_guard(facts.g):
         return False, True
     return True, allowed_edges(facts.g) == facts.ms.allowed
 
@@ -398,6 +387,8 @@ _CHECKS = {
     "oracle-nu": _check_oracle_nu,
     "oracle-allowed": _check_oracle_allowed,
 }
+
+PROPERTY_NAMES = tuple(_CHECKS)
 
 
 def _reverify_failure(g: Graph, prop: str) -> None:
@@ -464,9 +455,9 @@ class SweepConfig:
         else:
             if self.max_n is not None:
                 raise ValueError("max_n applies to exhaustive mode only")
-            # Counterexamples are reported in graph6, which stops at n = 62.
-            if self.n is None or not 0 <= self.n <= GRAPH6_MAX_N:
+            if self.n is None or self.n < 0:
                 raise ValueError(f"random mode requires 0 <= n <= {GRAPH6_MAX_N}")
+            check_graph6_size(self.n)  # counterexamples are reported in graph6
             if self.edge_probability is None or not 0 <= self.edge_probability <= 1:
                 raise ValueError("random mode requires edge_probability in [0, 1]")
             if self.sample_count is None or self.sample_count < 0:
@@ -515,9 +506,9 @@ class SweepReport:
         return payload
 
 
-# A tally: counts keyed by "population" and by (kind, property), kind one of
-# "in_class", "passes", "failures", with the minimal counterexample key
-# (n, graph6, property) or None.  Absent keys read 0.
+# A tally: counts keyed by "population" and by (kind, property), kind
+# "in_class" or "failures" (every other in-class graph passed), with the
+# minimal counterexample key (n, graph6, property) or None.  Absent keys read 0.
 _Tally = tuple[Counter, tuple[int, str, str] | None]
 
 
@@ -527,12 +518,14 @@ def _tally_graphs(population: Iterable[_Facts], properties: Sequence[str]) -> _T
     for facts in population:
         counts["population"] += 1
         for prop in properties:
-            member, passed = _CHECKS[prop](facts)
+            try:
+                member, passed = _CHECKS[prop](facts)
+            except GuardExceededError as exc:
+                raise GuardExceededError(f"{prop} on {to_graph6(facts.g)}: {exc}") from exc
             if not member:
                 continue
             counts["in_class", prop] += 1
             if passed:
-                counts["passes", prop] += 1
                 continue
             g = facts.g
             _reverify_failure(g, prop)
@@ -621,7 +614,7 @@ def _sweep(
     return SweepReport(
         population=counts["population"],
         in_class={p: counts["in_class", p] for p in properties},
-        passes={p: counts["passes", p] for p in properties},
+        passes={p: counts["in_class", p] - counts["failures", p] for p in properties},
         failures={p: counts["failures", p] for p in properties},
         first_counterexample=None if best is None else (best[2], best[1]),
         wall_time=time.perf_counter() - start,
@@ -643,6 +636,5 @@ def sweep_graphs(
 ) -> SweepReport:
     """Sweep explicit graphs, e.g. an ingested graph6 stream; all need n <= 62."""
     graphs = tuple(graphs)
-    if (largest := max((g.n for g in graphs), default=0)) > GRAPH6_MAX_N:
-        raise ValueError(f"sweeps are limited to n <= {GRAPH6_MAX_N}, got n={largest}")
+    check_graph6_size(max((g.n for g in graphs), default=0))
     return _sweep(None, graphs, properties, jobs)

@@ -11,9 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from matchcover import cli, parse_graph6, to_dot, to_graph6
+from matchcover import Graph, cli, parse_graph6, sweep_graphs, to_dot, to_graph6
 
-from helpers import C6, count_scans, cycle_graph
+from helpers import C4, C6, count_scans, cycle_graph
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "schemas" / "report.json").read_text())
@@ -196,6 +196,25 @@ class TestWitness:
         assert err.startswith("error:") and "32 edges" in err
 
 
+    def test_refuted_pair_exits_1(self, capsys, monkeypatch):
+        from matchcover import cover
+
+        # Two disjoint 4-cycles: each edge lies in two of the four maximum
+        # matchings.  The planted fault reverses the matchings through the
+        # pair's first edge, which the steps' set inclusion ignores and the
+        # final equal-set check does not.
+        g = Graph(8, [*C4.edges, *((u + 4, v + 4) for u, v in C4.edges)])
+        first = cover.theorem_witness_sequence(g).pair[0]
+        real = cover.matchings_containing
+        monkeypatch.setattr(
+            cover, "matchings_containing",
+            lambda ms, e: real(ms, e)[::-1] if e == first else real(ms, e),
+        )
+        code, out, err = run_cli(capsys, ["witness", "--graph6", to_graph6(g)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"refuted: refutation of equal-matching-set pair on graph {to_graph6(g)}")
+
+
 @pytest.mark.parametrize("command", ["analyze", "core", "minimize", "witness"])
 def test_unwritable_dot_exits_2_after_the_reply(capsys, tmp_path, command):
     dot = tmp_path / "absent" / "g.dot"
@@ -228,6 +247,19 @@ class TestInputLimits:
         assert code == 2
         assert out == ""
         assert "n <= 62, got n=64" in err
+
+    def test_every_refusal_gives_the_one_graph6_message(self, capsys, monkeypatch):
+        message = "graph6 is limited to n <= 62, got n=63"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("63\n0 1\n"))
+        assert run_cli(capsys, ["analyze"]) == (2, "", f"error: {message}\n")
+        random_argv = ["sweep", "--random", "--n", "63", "--p", "0.5", "--samples", "1",
+                       "--properties", "theorem", "--jobs", "1"]
+        assert run_cli(capsys, random_argv) == (2, "", f"error: {message}\n")
+        for refuse in (lambda: sweep_graphs([Graph(63)], ["theorem"]),
+                       lambda: to_graph6(Graph(63))):
+            with pytest.raises(ValueError) as raised:
+                refuse()
+            assert str(raised.value) == message
 
 
 class TestSweep:
@@ -311,6 +343,46 @@ class TestSweep:
         )
         assert code == 2
         assert "line 2" in err
+
+    def test_ingest_with_exhaustive_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "pop.g6"
+        path.write_text("Cl\n")
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--ingest", str(path), "--exhaustive", "--properties", "theorem"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --ingest cannot be combined with --exhaustive/--random\n"
+
+    # 2K2, then K9: 36 edges, over the 32-edge enumeration guard.
+    GUARD_STREAM = "C`\nH~~~~~~\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("prop", ["lemma1", "lemma2"])
+    def test_lemma_above_the_guard_names_property_and_graph(
+        self, capsys, tmp_path, prop, jobs
+    ):
+        path = tmp_path / "pop.g6"
+        path.write_text(self.GUARD_STREAM)
+        code, out, err = run_cli(
+            capsys, ["sweep", "--ingest", str(path), "--properties", prop, "--jobs", jobs]
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {prop} on H~~~~~~: exhaustive search limited to 32 edges, graph has 36\n"
+        )
+
+    @pytest.mark.parametrize("prop", ["oracle-nu", "oracle-allowed"])
+    def test_oracles_leave_graphs_above_the_guard_out_of_class(self, capsys, tmp_path, prop):
+        path = tmp_path / "pop.g6"
+        path.write_text(self.GUARD_STREAM)
+        code, out, _ = run_cli(
+            capsys, ["sweep", "--ingest", str(path), "--properties", prop, "--jobs", "1"]
+        )
+        assert code == 0
+        payload = parse_and_validate(out)
+        assert (payload["population"], payload["in_class"]) == (2, {prop: 1})
+        assert payload["failures"] == {prop: 0}
 
     def test_ingest_jobs_zero_exits_2(self, capsys, tmp_path):
         path = tmp_path / "pop.g6"
@@ -480,6 +552,20 @@ class TestEntryPoints:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_runtime_imports_only_the_standard_library(self):
+        # The test extras are installed here, so only a fresh interpreter
+        # shows a stray runtime dependency.  multiprocessing registers
+        # __mp_main__.
+        code = (
+            "import sys; before = set(sys.modules); import matchcover.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert "matchcover" in loaded
+        assert loaded - set(sys.stdlib_module_names) <= {"matchcover", "__mp_main__"}
 
     def test_console_script(self, capsys):
         import shutil

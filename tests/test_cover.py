@@ -476,6 +476,12 @@ class TestWitnessSequence:
             WitnessSequence((e01, e23, e01), 0, 2, (e01, e23))
 
 
+    def test_pair_edges_must_differ(self):
+        e01 = Edge(0, 1)
+        with pytest.raises(ValueError, match="distinct"):
+            WitnessSequence((e01, e01), 0, 1, (e01, e01))
+
+
 class TestAnalyze:
     def test_cycle(self):
         report = analyze(C4)

@@ -70,6 +70,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(-1)
 
+    def test_degree_and_membership_in_either_order(self):
+        assert [STAR3.degree(v) for v in range(4)] == [3, 1, 1, 1]
+        assert (0, 2) in STAR3 and (2, 0) in STAR3
+        assert (1, 2) not in STAR3 and (2, 1) not in STAR3
+
     def test_equal_graphs_compare_equal(self):
         assert Graph(3, [(0, 1), (1, 2)]) == Graph(3, [(2, 1), (0, 1)])
 
@@ -189,7 +194,6 @@ class TestGraph6:
     def test_large_n_rejected_on_encode(self):
         with pytest.raises(ValueError, match="n <= 62"):
             to_graph6(Graph(63))
-
     def test_round_trip_exhaustive_n6(self):
         for n in range(7):
             for g in enumerate_labeled_graphs(n):
@@ -234,6 +238,18 @@ class TestEdgeList:
     def test_bad_header_rejected(self):
         with pytest.raises(EdgeListParseError, match="vertex count"):
             parse_edge_list("x\n0 1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("-1\n", "line 1: vertex count must be nonnegative"),
+            ("3\n0 1\n1 2 0\n", "line 3: expected 'u v', got '1 2 0'"),
+            ("3\n\n0 x\n", "line 3: non-integer endpoint in '0 x'"),
+        ],
+    )
+    def test_malformed_lines_rejected(self, text, message):
+        with pytest.raises(EdgeListParseError, match=f"^{message}$"):
+            parse_edge_list(text)
 
     def test_blank_lines_ignored(self):
         assert parse_edge_list("\n2\n\n0 1\n\n") == K2
@@ -342,6 +358,15 @@ class TestMetrics:
 
     def test_bipartition_components(self):
         assert bipartition(TWO_K2) == (frozenset({0, 2}), frozenset({1, 3}))
+
+    def test_bipartition_colours_each_component_from_its_lowest_vertex(self):
+        assert bipartition(Graph(5, [(0, 2), (1, 3), (3, 4)])) == (
+            frozenset({0, 1, 4}),
+            frozenset({2, 3}),
+        )
+
+    def test_bipartition_odd_cycle_in_a_later_component(self):
+        assert bipartition(Graph(6, [(0, 1), (2, 3), (3, 4), (2, 4)])) is None
 
     def test_bipartition_empty_graph(self):
         assert bipartition(Graph(0)) == (frozenset(), frozenset())

@@ -21,7 +21,7 @@ from matchcover import (
     random_graph,
 )
 from matchcover import matching
-from matchcover.matching import ENUMERATION_EDGE_LIMIT
+from matchcover.matching import ENUMERATION_EDGE_LIMIT, within_guard
 
 from helpers import (
     C4,
@@ -34,6 +34,7 @@ from helpers import (
     complete_graph,
     path_graph,
     reference_scan,
+    star_graph,
 )
 
 
@@ -92,6 +93,15 @@ class TestBruteForceGuard:
             brute_force_matching_number(g)
         with pytest.raises(GuardExceededError):
             enumerate_maximum_matchings(g)
+
+
+    def test_guard_holds_at_exactly_32_edges(self):
+        at_guard, above = star_graph(32), star_graph(33)
+        assert (within_guard(at_guard), within_guard(above)) == (True, False)
+        ms = enumerate_maximum_matchings(at_guard)
+        assert (ms.nu, len(ms)) == (1, 32)
+        with pytest.raises(GuardExceededError, match="limited to 32 edges, graph has 33"):
+            enumerate_maximum_matchings(above)
 
 
 class TestEnumeration:

@@ -1,7 +1,9 @@
 """Population generation, sweep execution, and report determinism."""
 
 import io
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from matchcover.graph import isolated_vertices
 from matchcover.sweep import (
     _CHECKS,
     EXHAUSTIVE_MODE,
+    PROPERTY_NAMES,
     RANDOM_MODE,
     RouteDisagreementError,
     SplitMix64,
@@ -37,6 +40,7 @@ from matchcover.sweep import (
     _nu_table,
     _OracleFacts,
     _fact,
+    _sweep_chunk,
 )
 
 from helpers import (
@@ -245,6 +249,17 @@ class TestConfigValidation:
                 seed=0,
             ).validated()
 
+    @pytest.mark.parametrize(
+        "missing, message",
+        [("sample_count", "nonnegative sample_count"), ("seed", "requires a seed")],
+    )
+    def test_random_requires_sample_count_and_seed(self, missing, message):
+        fields = dict(n=5, edge_probability=0.5, sample_count=10, seed=0)
+        del fields[missing]
+        cfg = SweepConfig(mode=RANDOM_MODE, properties=("oracle-nu",), **fields)
+        with pytest.raises(ValueError, match=message):
+            cfg.validated()
+
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             SweepConfig(
@@ -269,6 +284,15 @@ class TestConfigValidation:
             max_n=3,
         ).validated()
         assert cfg.properties == ("theorem", "oracle-nu")
+
+
+class TestPropertyList:
+    def test_names_are_the_check_table_and_the_schema_enum(self):
+        schema = json.loads(
+            (Path(__file__).resolve().parents[1] / "schemas" / "report.json").read_text()
+        )
+        assert PROPERTY_NAMES == tuple(_CHECKS)
+        assert list(PROPERTY_NAMES) == schema["$defs"]["propertyName"]["enum"]
 
 
 class TestRunSweep:
@@ -414,6 +438,23 @@ class TestCounterexampleReporting:
         assert prop == "theorem"
         assert code == "A_"  # K2: the (n, graph6)-minimal graph with an edge
 
+    def test_passes_are_in_class_graphs_less_failures(self, monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        # Graphs with an odd edge count fail; the tally keeps no pass count.
+        def odd_fails(facts):
+            edges = len(facts.g.edges)
+            return (True, edges % 2 == 0) if edges else (False, True)
+
+        monkeypatch.setitem(sweep_mod._CHECKS, "theorem", odd_fails)
+        monkeypatch.setattr(sweep_mod, "_reverify_failure", lambda g, prop: None)
+        counts, _ = _sweep_chunk((None, list(enumerate_labeled_graphs(4)), ("theorem",)))
+        assert {key[0] for key in counts if key != "population"} == {"in_class", "failures"}
+        report = sweep_graphs(enumerate_labeled_graphs(4), ("theorem",))
+        assert report.in_class == {"theorem": 63}
+        assert report.failures == {"theorem": 32}
+        assert report.passes == {"theorem": 31}
+
     def test_reverify_rejects_false_alarm(self):
         from matchcover.sweep import _reverify_failure
 
@@ -436,7 +477,7 @@ class TestCounterexampleReporting:
     def test_merge_takes_minimal_counterexample(self):
         a = (
             Counter({"population": 5, ("in_class", "theorem"): 2,
-                     ("passes", "theorem"): 1, ("failures", "theorem"): 1}),
+                     ("failures", "theorem"): 1}),
             (4, "Cl", "theorem"),
         )
         b = (
