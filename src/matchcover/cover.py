@@ -8,8 +8,9 @@ when additionally deleting any single edge destroys that property.
 Two routes compute allowed-ness and are kept deliberately independent:
 
 * the fast path decides every edge from one blossom maximum matching plus at
-  most two single-root augmenting searches per edge (see
-  :func:`matching.allowed_verdicts`), which scales past the enumeration guard;
+  most two single-root augmenting searches per edge, one when that matching
+  is perfect (see :func:`matching.allowed_verdicts`), which scales past the
+  enumeration guard;
 * the oracle path reads them off one enumeration of all maximum matchings
   (:attr:`matching.MatchingSet.allowed`, their union).
 
@@ -47,11 +48,12 @@ from .matching import (
     covered_and_missed,
     enumerate_maximum_matchings,
     has_perfect_matching,
-    matching_number,
     matchings_containing,
     within_guard,
     _allowed_verdicts,
     _covers_all,
+    _matching_size,
+    _max_matching_mates,
 )
 
 
@@ -124,7 +126,8 @@ def is_allowed(g: Graph, e: tuple[int, int]) -> bool:
     """True when some maximum matching contains ``e``.
 
     Decided from one blossom maximum matching and at most two single-root
-    augmenting searches in ``G - u - v``; no enumeration.
+    augmenting searches in ``G - u - v`` (one when that matching is perfect);
+    no enumeration.
     """
     return next(allowed_verdicts(g, (_edge_of(g, e),)))
 
@@ -174,7 +177,7 @@ def _verdicts_without(g: Graph, e: Edge) -> tuple[tuple[Edge, ...], Iterator[boo
     adj[e.u] = tuple(x for x in adj[e.u] if x != e.v)
     adj[e.v] = tuple(x for x in adj[e.v] if x != e.u)
     edges = tuple(x for x in g.edges if x != e)
-    return edges, _allowed_verdicts(g.n, adj, edges)
+    return edges, _allowed_verdicts(g.n, adj, _max_matching_mates(g.n, adj), edges)
 
 
 def _covered_without(g: Graph, e: Edge) -> bool:
@@ -347,8 +350,10 @@ def shared_matching_set(g: Graph, ws: WitnessSequence) -> tuple[Matching, ...]:
 
 def analyze(g: Graph) -> CoverReport:
     """Compute the full allowed-edge report for one graph."""
-    nu = matching_number(g)
-    verdicts = tuple(allowed_verdicts(g, g.edges))
+    # ν and every verdict come from one blossom maximum matching.
+    mate = _max_matching_mates(g.n, g.adjacency)
+    nu = _matching_size(mate)
+    verdicts = tuple(_allowed_verdicts(g.n, g.adjacency, mate, g.edges))
     allowed = tuple(compress(g.edges, verdicts))
     disallowed = tuple(compress(g.edges, (not ok for ok in verdicts)))
     covered = not disallowed

@@ -179,18 +179,17 @@ def check_graph6_size(n: int) -> None:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header, no newline)."""
-    check_graph6_size(g.n)
-    present = g.edge_set
-    bits = [1 if (u, v) in present else 0 for u, v in _g6_pairs(g.n)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        value = 0
-        for b in bits[i : i + 6]:
-            value = (value << 1) | b
-        out.append(chr(value + 63))
-    return "".join(out)
+    n = g.n
+    check_graph6_size(n)
+    # The adjacency bits as one integer, first bit highest: pair (u, v) is
+    # bit v(v - 1)/2 + u of the column-order stream, padded to whole bytes.
+    nbytes = -(-(n * (n - 1) // 2) // 6)
+    top = 6 * nbytes - 1
+    bits = 0
+    for u, v in g.edges:
+        bits |= 1 << (top - v * (v - 1) // 2 - u)
+    body = (chr((bits >> shift & 63) + 63) for shift in range(top - 5, -1, -6))
+    return chr(n + 63) + "".join(body)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -195,6 +195,10 @@ def _max_matching_mates(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     return mate
 
 
+def _matching_size(mate: list[int]) -> int:
+    return (len(mate) - mate.count(-1)) // 2
+
+
 def maximum_matching(g: Graph) -> Matching:
     """One maximum-cardinality matching, deterministic for a fixed graph."""
     mate = _max_matching_mates(g.n, g.adjacency)
@@ -204,8 +208,7 @@ def maximum_matching(g: Graph) -> Matching:
 
 def matching_number(g: Graph) -> int:
     """The maximum matching cardinality, via the blossom search."""
-    mate = _max_matching_mates(g.n, g.adjacency)
-    return sum(1 for v in range(g.n) if mate[v] >= 0) // 2
+    return _matching_size(_max_matching_mates(g.n, g.adjacency))
 
 
 def allowed_verdicts(g: Graph, edges: Iterable[Edge]) -> Iterator[bool]:
@@ -216,14 +219,21 @@ def allowed_verdicts(g: Graph, edges: Iterable[Edge]) -> Iterator[bool]:
     so is one with an endpoint M leaves uncovered (swap it in).  Otherwise uv
     is allowed iff M without its edges at u and v has an augmenting path in
     ``G - u - v``.  Such a path ends at mate(u) or mate(v), or it would
-    augment M too, so at most two single-root searches decide the edge.
+    augment M too, so at most two single-root searches decide the edge, and
+    one when M is perfect.
     """
-    return _allowed_verdicts(g.n, g.adjacency, edges)
+    n, adj = g.n, g.adjacency
+    return _allowed_verdicts(n, adj, _max_matching_mates(n, adj), edges)
 
 
-def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]],
+def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]], mate: list[int],
                       edges: Iterable[Edge]) -> Iterator[bool]:
-    mate = _max_matching_mates(n, adj)
+    # The per-edge loop of allowed_verdicts, given the mates of a maximum
+    # matching M (-1 where M leaves a vertex exposed).  When the search from
+    # a = mate(u) fails, a path from b = mate(v) must end at a vertex M leaves
+    # exposed in G (one ending at a would have been found from a), so that
+    # second search runs only if M is not perfect.
+    exposed = -1 in mate
     # Pairing u and v with a sentinel vertex n that has no neighbors makes
     # them dead ends for the unchanged search, which then runs in G - u - v.
     adj = (*adj, ())
@@ -235,7 +245,8 @@ def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]],
         trial = mate + [-1]
         trial[u] = trial[v] = n
         trial[a] = trial[b] = -1
-        yield _augment_from(a, n + 1, adj, trial) or _augment_from(b, n + 1, adj, trial)
+        yield (_augment_from(a, n + 1, adj, trial)
+               or exposed and _augment_from(b, n + 1, adj, trial))
 
 
 # ---------------------------------------------------------------------------

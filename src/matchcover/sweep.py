@@ -33,15 +33,15 @@ Properties:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from multiprocessing import Pool
+from functools import cache, lru_cache
+from itertools import compress
 from typing import IO, Iterable, Iterator, Sequence
 
 from .cover import _covered_without, _no_deletion_covered
-from .cover import allowed_edges, is_matching_covered
 from .graph import (
     GRAPH6_MAX_N,
     Edge,
@@ -59,9 +59,11 @@ from .graph import (
 from .matching import (
     GuardExceededError,
     MatchingSet,
+    _allowed_verdicts,
     _covers_all,
+    _matching_size,
+    _max_matching_mates,
     enumerate_maximum_matchings,
-    matching_number,
     within_guard,
 )
 
@@ -87,6 +89,38 @@ class RouteDisagreementError(RuntimeError):
     """
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+# Draws per lane int: one block holds every vertex pair up to n = 64.
+_LANE_BLOCK = 2048
+
+
+@lru_cache(maxsize=8)
+def _lanes(count: int) -> tuple[int, int, int]:
+    # Lane k of an int is its bits 128k to 128k + 127.  Per lane: 1, the
+    # 64-bit mask, and k + 1 (how often the state has advanced at draw k).
+    one = (1).to_bytes(16, "little")
+    ones = int.from_bytes(one * count, "little")
+    steps = b"".join((k + 1).to_bytes(16, "little") for k in range(count))
+    return ones, ones * _MASK64, int.from_bytes(steps, "little")
+
+
+def _splitmix64_lanes(seed: int, count: int) -> int:
+    """The first ``count`` splitmix64 outputs for ``seed``, output k in lane
+    k (bits 128k to 128k + 63) of one int.
+
+    Each step acts on every lane at once and on each lane alone: a 64-bit
+    lane times a 64-bit multiplier stays within its 128 bits, and a right
+    shift moves a lane's low bits only into the upper half of the lane below,
+    which the mask clears.
+    """
+    ones, low, steps = _lanes(count)
+    z = ((seed & _MASK64) * ones + _GAMMA * steps) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    return (z ^ (z >> 31)) & low
+
+
 class SplitMix64:
     """Portable 64-bit generator (splitmix64), part of the seeding contract.
 
@@ -96,46 +130,67 @@ class SplitMix64:
     produce identical streams on every platform.
     """
 
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
+        z = _splitmix64_lanes(self._state, 1)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return z
 
     def next_unit(self) -> float:
         # 53-bit mantissa in [0, 1).
         return (self.next_uint64() >> 11) * (2.0**-53)
 
 
+def _draws_below(seed: int, count: int, limit: int) -> bytes:
+    # Byte k is 1 if output k of seed's splitmix64 stream is below limit
+    # (at most 2^64), else 0.  Per lane, 2^64 + limit - 1 - z lies in
+    # [0, 2^65) and reaches 2^64 iff z < limit, so its bit 64 is the answer.
+    flags = []
+    for start in range(0, count, _LANE_BLOCK):
+        lanes = min(_LANE_BLOCK, count - start)
+        ones = _lanes(lanes)[0]
+        z = _splitmix64_lanes(seed + start * _GAMMA, lanes)
+        below = ((((1 << 64) + limit - 1) * ones - z) >> 64) & ones
+        flags.append(below.to_bytes(16 * lanes, "little")[::16])
+    return b"".join(flags)
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Independent coin flips per vertex pair, in lexicographic pair order.
 
-    Identical ``(n, p, seed)`` produce the identical graph on every platform.
+    Pair k is an edge iff the k-th draw's unit value, ``next_unit()``, is
+    below ``p``.  Identical ``(n, p, seed)`` produce the identical graph on
+    every platform.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = SplitMix64(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next_unit() < p:
-                edges.append(Edge(u, v))
-    return Graph(n, tuple(edges))
+    # (z >> 11) * 2^-53 < p holds iff the integer z >> 11 is below p * 2^53
+    # (exact: a power-of-two scaling), i.e. iff z < ceil(p * 2^53) << 11.
+    below = _draws_below(seed, n * (n - 1) // 2, math.ceil(p * 2.0**53) << 11)
+    # The pair table is kept for the sizes a sweep draws; larger n walks
+    # the pairs once without storing them.
+    pairs = _lex_pairs(n) if n <= GRAPH6_MAX_N else _pairs_in_order(n)
+    return Graph(n, tuple(compress(pairs, below)))
+
+
+def _pairs_in_order(n: int) -> Iterator[Edge]:
+    # The vertex pairs on n vertices in lexicographic order.
+    return (Edge(u, v) for u in range(n) for v in range(u + 1, n))
+
+
+@cache
+def _lex_pairs(n: int) -> tuple[Edge, ...]:
+    return tuple(_pairs_in_order(n))
 
 
 @cache
 def _pair_edges(n: int) -> dict[int, Edge]:
     # Each vertex pair by its bit in an edge mask on n vertices, in lexicographic order.
-    pairs = (Edge(u, v) for u in range(n) for v in range(u + 1, n))
-    return {1 << k: e for k, e in enumerate(pairs)}
+    return {1 << k: e for k, e in enumerate(_lex_pairs(n))}
 
 
 @cache
@@ -223,10 +278,11 @@ def ingest_graph6_stream(
 class _Facts:
     """Lazily computed per-graph facts shared across property checks.
 
-    ``nu``, ``covered`` and the deletion test come from one of three sources,
-    and all else is shared: the fast route (blossom ν and the allowed-edge
-    kernel, ``_deletion_covered(g, e)`` per edge) here, the oracle route in
-    :class:`_OracleFacts`, and, for labeled graphs, ``covered`` and
+    ``nu``, ``covered``, ``allowed`` and the deletion test come from one of
+    three sources, and all else is shared: the fast route here, where one
+    blossom maximum matching (``mate``) gives ν and feeds the allowed-edge
+    kernel, and ``_deletion_covered(g, e)`` runs per edge; the oracle route
+    in :class:`_OracleFacts`; and, for labeled graphs, ``covered`` and
     ``minimal_covered`` read off a ν table in :class:`_LabeledFacts`.
     """
 
@@ -234,8 +290,16 @@ class _Facts:
         self.g = g
 
     @_fact
+    def mate(self) -> list[int]:
+        return _max_matching_mates(self.g.n, self.g.adjacency)
+
+    @_fact
     def nu(self) -> int:
-        return matching_number(self.g)
+        return _matching_size(self.mate)
+
+    def _verdicts(self) -> Iterator[bool]:
+        g = self.g
+        return _allowed_verdicts(g.n, g.adjacency, self.mate, g.edges)
 
     _deletion_covered = staticmethod(_covered_without)
 
@@ -245,7 +309,11 @@ class _Facts:
 
     @_fact
     def covered(self) -> bool:
-        return is_matching_covered(self.g)
+        return all(self._verdicts())
+
+    @_fact
+    def allowed(self) -> tuple[Edge, ...]:
+        return tuple(compress(self.g.edges, self._verdicts()))
 
     @_fact
     def minimal_covered(self) -> bool:
@@ -282,7 +350,11 @@ class _OracleFacts(_Facts):
 
     @_fact
     def covered(self) -> bool:
-        return self.ms.allowed == self.g.edges
+        return self.allowed == self.g.edges
+
+    @_fact
+    def allowed(self) -> tuple[Edge, ...]:
+        return self.ms.allowed
 
     @staticmethod
     def _deletion_covered(g: Graph, e: Edge) -> bool:
@@ -297,8 +369,8 @@ class _LabeledFacts(_Facts):
     is allowed iff ``nu[m & keep[b]] == nu[m] - 1``); ``minimal_covered``
     runs that test for each G - e at ``mask ^ b``, over the same bits and
     with no ``Graph``; ``no_isolated`` is read from the vertices' pair masks.
-    ``g`` is built only when a check reads it, and ``nu`` stays the blossom
-    ν, which ``oracle-nu`` checks.
+    ``g`` is built only when a check reads it; ``nu`` and ``allowed`` stay
+    the fast route's, which ``oracle-nu`` and ``oracle-allowed`` check.
     """
 
     def __init__(self, n: int, mask: int, table: bytearray):
@@ -376,7 +448,7 @@ def _check_oracle_nu(facts: _Facts) -> tuple[bool, bool]:
 def _check_oracle_allowed(facts: _Facts) -> tuple[bool, bool]:
     if not within_guard(facts.g):
         return False, True
-    return True, allowed_edges(facts.g) == facts.ms.allowed
+    return True, facts.allowed == facts.ms.allowed
 
 
 _CHECKS = {
@@ -581,6 +653,17 @@ def _sweep_chunk(
     else:
         population = _facts_for_range(cfg, items.start, items.stop)
     return _tally_graphs(population, properties)
+
+
+def Pool(processes: int):
+    """A ``multiprocessing.Pool``, imported when a parallel sweep starts one.
+
+    Importing ``multiprocessing`` loads ``pickle``, ``socket`` and more, which
+    no serial sweep or single-graph command needs.
+    """
+    from multiprocessing import Pool as pool
+
+    return pool(processes)
 
 
 def _checked_selection(properties: Sequence[str], jobs: int) -> tuple[str, ...]:

@@ -110,7 +110,8 @@ def count_edge_deletions(monkeypatch) -> list[tuple[Graph, tuple[int, int]]]:
 
 
 def count_blossom_passes(monkeypatch) -> list[int]:
-    """Record the vertex count of every blossom maximum-matching pass from now on."""
+    """Record the vertex count of every blossom maximum-matching pass made
+    through matching, cover or sweep from now on."""
     passes: list[int] = []
     original = matching._max_matching_mates
 
@@ -118,7 +119,8 @@ def count_blossom_passes(monkeypatch) -> list[int]:
         passes.append(n)
         return original(n, adj)
 
-    monkeypatch.setattr(matching, "_max_matching_mates", counting)
+    for module in (matching, cover, sweep):
+        monkeypatch.setattr(module, "_max_matching_mates", counting)
     return passes
 
 

@@ -483,7 +483,7 @@ class TestInternalErrors:
         if jobs != "1" and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches workers only through fork")
         # A wrong fast nu makes the oracle re-verification disagree.
-        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: 0)
+        monkeypatch.setattr(sweep_mod._Facts, "nu", property(lambda facts: 0))
         code, out, err = run_cli(
             capsys,
             ["sweep", "--exhaustive", "--max-n", "4",
@@ -553,10 +553,16 @@ class TestEntryPoints:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
 
+    def test_import_loads_no_multiprocessing(self):
+        # Only a parallel sweep imports it, when it starts its Pool.
+        code = "import sys, matchcover.cli; print('multiprocessing' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
     def test_runtime_imports_only_the_standard_library(self):
         # The test extras are installed here, so only a fresh interpreter
-        # shows a stray runtime dependency.  multiprocessing registers
-        # __mp_main__.
+        # shows a stray runtime dependency.
         code = (
             "import sys; before = set(sys.modules); import matchcover.cli; "
             "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
@@ -565,7 +571,7 @@ class TestEntryPoints:
         assert result.returncode == 0, result.stderr
         loaded = set(result.stdout.split())
         assert "matchcover" in loaded
-        assert loaded - set(sys.stdlib_module_names) <= {"matchcover", "__mp_main__"}
+        assert loaded - set(sys.stdlib_module_names) == {"matchcover"}
 
     def test_console_script(self, capsys):
         import shutil

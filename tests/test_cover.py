@@ -39,10 +39,25 @@ from matchcover import (
     random_graph,
     theorem_witness_sequence,
 )
+from matchcover import matching
 from matchcover.cover import DeletionStep, _covered_without, shared_matching_set
 from matchcover.graph import isolated_vertices
 
-from helpers import C4, C6, K2, K3, K4, P3, P4, STAR3, TWO_K2, count_scans, cycle_graph, path_graph
+from helpers import (
+    C4,
+    C6,
+    K2,
+    K3,
+    K4,
+    P3,
+    P4,
+    STAR3,
+    TWO_K2,
+    count_blossom_passes,
+    count_scans,
+    cycle_graph,
+    path_graph,
+)
 
 
 class TestAllowed:
@@ -101,6 +116,22 @@ class TestAllowedKernel:
         assert maximum_matching(g).edges == (Edge(0, 1), Edge(2, 3))
         assert is_allowed(g, e) is allowed
         assert (Edge(*e) in allowed_edges_enumerated(g)) is allowed
+
+    def test_a_perfect_matching_needs_one_search(self, monkeypatch):
+        # M = {01, 23} of P4 is perfect: once the search from mate(1) = 0
+        # fails, no path from mate(2) = 3 can end at an exposed vertex.
+        searches = []
+        original = matching._augment_from
+
+        def counting(root, n, adj, mate):
+            searches.append(root)
+            return original(root, n, adj, mate)
+
+        monkeypatch.setattr(matching, "_augment_from", counting)
+        assert maximum_matching(P4).edges == (Edge(0, 1), Edge(2, 3))
+        searches.clear()
+        assert is_allowed(P4, (1, 2)) is False
+        assert searches == [0]
 
     def test_all_graphs_up_to_five_vertices(self):
         count = 0
@@ -500,6 +531,12 @@ class TestAnalyze:
         assert not report.is_matching_covered
         assert not report.is_minimal_matching_covered
         assert report.has_perfect_matching
+
+    def test_nu_and_verdicts_share_one_blossom_pass(self, monkeypatch):
+        # P4 is not matching covered, so no G - e is searched either.
+        passes = count_blossom_passes(monkeypatch)
+        assert analyze(P4).nu == 2
+        assert passes == [4]
 
     def test_triangle(self):
         report = analyze(K3)

@@ -30,7 +30,7 @@ from matchcover import (
     to_dot,
     to_graph6,
 )
-from matchcover.sweep import enumerate_labeled_graphs
+from matchcover.sweep import enumerate_labeled_graphs, random_graph
 
 from helpers import C4, C6, K2, K3, K4, P3, P4, STAR3, TWO_K2
 
@@ -194,6 +194,28 @@ class TestGraph6:
     def test_large_n_rejected_on_encode(self):
         with pytest.raises(ValueError, match="n <= 62"):
             to_graph6(Graph(63))
+    @staticmethod
+    def reference_graph6(g):
+        # Tests every pair in column order, then packs six bits per byte.
+        present = set(g.edges)
+        bits = [(u, v) in present for v in range(1, g.n) for u in range(v)]
+        bits += [False] * (-len(bits) % 6)
+        groups = (bits[i:i + 6] for i in range(0, len(bits), 6))
+        body = [chr(63 + sum(bit << (5 - k) for k, bit in enumerate(b))) for b in groups]
+        return chr(g.n + 63) + "".join(body)
+
+    def test_encode_matches_the_reference_exhaustive_n6(self):
+        for n in range(7):
+            for g in enumerate_labeled_graphs(n):
+                assert to_graph6(g) == self.reference_graph6(g), g.edges
+
+    @pytest.mark.parametrize("n", [7, 8, 11, 12, 13, 20, 31, 47, 61, 62])
+    def test_encode_matches_the_reference_seeded(self, n):
+        for seed in range(20):
+            for p in (0.1, 0.5, 0.9):
+                g = random_graph(n, p, seed)
+                assert to_graph6(g) == self.reference_graph6(g), (n, p, seed)
+
     def test_round_trip_exhaustive_n6(self):
         for n in range(7):
             for g in enumerate_labeled_graphs(n):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from matchcover.sweep import (
     _nu_table,
     _OracleFacts,
     _fact,
+    _splitmix64_lanes,
     _sweep_chunk,
 )
 
@@ -92,6 +94,15 @@ class TestSplitMix64:
             3203168211198807973,
         ]
 
+    @pytest.mark.parametrize("seed", [0, 1234567, 2**64 - 1])
+    def test_lanes_hold_the_stream(self, seed):
+        # 1891 draws: one per vertex pair at n = 62.
+        rng = SplitMix64(seed)
+        lanes = _splitmix64_lanes(seed, 1891)
+        assert [lanes >> 128 * k & (2**128 - 1) for k in range(1891)] == [
+            rng.next_uint64() for _ in range(1891)
+        ]
+
     def test_unit_interval(self):
         rng = SplitMix64(99)
         values = [rng.next_unit() for _ in range(1000)]
@@ -109,6 +120,31 @@ class TestRandomGraph:
     def test_different_seeds_differ(self):
         drawn = {random_graph(8, 0.5, seed) for seed in range(16)}
         assert len(drawn) > 1
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_each_pair_takes_one_next_unit_draw(self, p):
+        # The contract: pair k, in lexicographic order, is an edge iff the
+        # k-th next_unit() of SplitMix64(seed) is below p.
+        for n in range(21):
+            for seed in range(50):
+                rng = SplitMix64(seed)
+                expected = [e for e in lex_pairs(n) if rng.next_unit() < p]
+                assert random_graph(n, p, seed) == Graph(n, expected), (n, seed)
+
+    @pytest.mark.parametrize("n", [64, 65, 100])
+    def test_past_one_lane_block(self, n):
+        # n = 64 has 2016 pairs, one block of draws; n = 65 needs two, and
+        # n = 100 takes three without the stored pair table.
+        for seed in range(3):
+            rng = SplitMix64(seed)
+            expected = [e for e in lex_pairs(n) if rng.next_unit() < 0.5]
+            assert random_graph(n, 0.5, seed) == Graph(n, expected), (n, seed)
+
+    def test_a_draw_equal_to_p_is_no_edge(self):
+        # The one pair of n = 2 is an edge iff the first draw is below p.
+        first = SplitMix64(0).next_unit()
+        assert random_graph(2, first, 0).edges == ()
+        assert random_graph(2, math.nextafter(first, 1.0), 0).edges == ((0, 1),)
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -550,12 +586,28 @@ class TestOneEnumerationPerGraph:
         assert report.total_failures == 0
         assert len(scanned) == 40
 
+    def test_oracle_sweep_runs_one_blossom_pass_per_graph(self, monkeypatch):
+        # nu and the allowed-edge kernel share each graph's maximum matching.
+        passes = count_blossom_passes(monkeypatch)
+        report = run_sweep(
+            SweepConfig(
+                mode=RANDOM_MODE,
+                properties=("oracle-nu", "oracle-allowed"),
+                n=7,
+                edge_probability=0.4,
+                sample_count=40,
+                seed=3,
+            )
+        )
+        assert report.in_class == {"oracle-nu": 40, "oracle-allowed": 40}
+        assert passes == [7] * 40
+
     def test_reverify_enumerates_the_graph_once(self, monkeypatch):
         from matchcover import sweep as sweep_mod
 
         # A fast nu of 0 makes C4 fail the theorem; the oracle re-check then
         # disagrees.  C4 itself is enumerated once, each C4 - e once.
-        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: 0)
+        monkeypatch.setattr(sweep_mod._Facts, "nu", property(lambda facts: 0))
         scanned = count_scans(monkeypatch)
         with pytest.raises(RouteDisagreementError, match="disagree"):
             sweep_graphs([C4], ("theorem",))
@@ -570,16 +622,18 @@ class TestOracleChecksCatchTheFastRoute:
     def test_wrong_matching_number_fails_oracle_nu(self, monkeypatch):
         from matchcover import sweep as sweep_mod
 
-        fast = sweep_mod.matching_number
-        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: fast(g) + 1)
+        fast = sweep_mod._Facts.nu.func
+        monkeypatch.setattr(sweep_mod._Facts, "nu", property(lambda facts: fast(facts) + 1))
         report = run_sweep(SweepConfig(properties=("oracle-nu",), **self.CFG))
         assert report.failures["oracle-nu"] == report.in_class["oracle-nu"] == 76
 
     def test_missing_allowed_edge_fails_oracle_allowed(self, monkeypatch):
         from matchcover import sweep as sweep_mod
 
-        fast = sweep_mod.allowed_edges
-        monkeypatch.setattr(sweep_mod, "allowed_edges", lambda g: fast(g)[:-1])
+        fast = sweep_mod._Facts.allowed.func
+        monkeypatch.setattr(
+            sweep_mod._Facts, "allowed", property(lambda facts: fast(facts)[:-1])
+        )
         report = run_sweep(SweepConfig(properties=("oracle-allowed",), **self.CFG))
         # Every graph with an edge has an allowed edge to drop.
         assert report.failures["oracle-allowed"] == 76 - 5
@@ -680,13 +734,16 @@ class TestLazyFacts:
         from matchcover import sweep as sweep_mod
 
         calls = []
-        monkeypatch.setattr(sweep_mod, "matching_number", lambda g: calls.append(g) or 2)
+        # The one blossom pass: C4 = 0-1-2-3-0 perfectly matched by 01 and 23.
+        monkeypatch.setattr(
+            sweep_mod, "_max_matching_mates", lambda n, adj: calls.append(adj) or [1, 0, 3, 2]
+        )
         facts = _Facts(C4)
-        assert facts.nu == 2 and calls == [C4]
+        assert facts.nu == 2 and calls == [C4.adjacency]
         # perfect reads nu, which is stored by now.
         assert facts.perfect is True and facts.nu == 2 and facts.perfect is True
-        assert calls == [C4]
-        assert _Facts(C4).nu == 2 and calls == [C4, C4]
+        assert calls == [C4.adjacency]
+        assert _Facts(C4).nu == 2 and calls == [C4.adjacency] * 2
 
     def test_labeled_graph_is_built_once(self, monkeypatch):
         facts = _LabeledFacts(4, 63, _nu_table(4, 64))
@@ -697,18 +754,18 @@ class TestLazyFacts:
     def test_oracle_overrides_still_win(self, monkeypatch):
         from matchcover import sweep as sweep_mod
 
-        def fast_route(g):
+        def fast_route(*args):
             raise AssertionError("the oracle facts ran the fast route")
 
-        monkeypatch.setattr(sweep_mod, "matching_number", fast_route)
-        monkeypatch.setattr(sweep_mod, "is_matching_covered", fast_route)
+        monkeypatch.setattr(sweep_mod, "_max_matching_mates", fast_route)
+        monkeypatch.setattr(sweep_mod, "_allowed_verdicts", fast_route)
         facts = _OracleFacts(K4)
         assert (facts.nu, facts.covered, facts.perfect) == (2, True, True)
         assert facts.minimal_covered is True
 
     def test_class_attribute_is_the_descriptor(self):
         for cls in (_Facts, _OracleFacts, _LabeledFacts):
-            for name in ("nu", "covered", "minimal_covered", "perfect", "ms"):
+            for name in ("nu", "covered", "allowed", "minimal_covered", "perfect", "ms"):
                 assert isinstance(getattr(cls, name), _fact)
         assert _OracleFacts.nu is _OracleFacts.__dict__["nu"] is not _Facts.nu
         assert _LabeledFacts.g is _LabeledFacts.__dict__["g"]
