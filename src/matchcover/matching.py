@@ -8,7 +8,9 @@ fast path is checked against: its :class:`MatchingSet` carries both the
 matching number and the allowed edges (their union).  The walk pairs before
 it leaves a vertex exposed and cuts a branch once it has left more vertices
 exposed than the best matching found so far leaves; that bound counts
-vertices only and takes nothing from the blossom search.
+vertices only and takes nothing from the blossom search.  The walk runs on
+ints: the undecided vertices are one bitmask over the vertices, and each
+matching is one edge mask, bit k standing for ``g.edges[k]``.
 
 Everything is deterministic: vertices and neighbors are scanned in increasing
 order, so repeated runs and parallel schedules produce identical results.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Edge, Graph, _fact, edge
@@ -75,27 +78,38 @@ class Matching:
 
 @dataclass(frozen=True)
 class MatchingSet:
-    """All maximum matchings of a graph, sorted lexicographically.
+    """All maximum matchings of a graph, in lexicographic order.
 
     ``nu`` is the common cardinality.  Built by exhaustive enumeration, so it
     is the definitional object the fast predicates are validated against.
-    Every member is bound to ``graph``.
+    Members are edge masks (bit k for ``graph.edges[k]``), which ``len`` and
+    ``allowed`` read; ``matchings`` and iteration build them once, in order,
+    as :class:`Matching` objects bound to ``graph``.
     """
 
     graph: Graph
-    matchings: tuple[Matching, ...]
     nu: int
+    masks: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.matchings)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.matchings)
 
     @_fact
+    def matchings(self) -> tuple[Matching, ...]:
+        return tuple(Matching(_edges_in(self.graph.edges, m), self.graph) for m in self.masks)
+
+    @_fact
     def allowed(self) -> tuple[Edge, ...]:
         """The allowed edges, sorted: the union of all the maximum matchings."""
-        return tuple(sorted({e for f in self.matchings for e in f.edges}))
+        return _edges_in(self.graph.edges, reduce(int.__or__, self.masks, 0))
+
+
+def _edges_in(edges: tuple[Edge, ...], mask: int) -> tuple[Edge, ...]:
+    # The edges whose bits are set in mask, in index order, which is sorted.
+    return tuple(edges[k] for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def _check_binding(g: Graph, f: Matching) -> None:
@@ -215,12 +229,12 @@ def allowed_verdicts(g: Graph, edges: Iterable[Edge]) -> Iterator[bool]:
     """Lazily, for each of ``edges`` (edges of ``g``), whether some maximum
     matching contains it.
 
-    One maximum matching M decides every edge.  An edge of M is allowed, and
-    so is one with an endpoint M leaves uncovered (swap it in).  Otherwise uv
-    is allowed iff M without its edges at u and v has an augmenting path in
-    ``G - u - v``.  Such a path ends at mate(u) or mate(v), or it would
-    augment M too, so at most two single-root searches decide the edge, and
-    one when M is perfect.
+    One maximum matching M decides every edge.  An edge of M is allowed, as
+    is one with an endpoint M leaves uncovered (swap it in) or with adjacent
+    mates (swap the alternating 4-cycle).  Otherwise uv is allowed iff M
+    without its edges at u and v has an augmenting path in ``G - u - v``.
+    Such a path ends at mate(u) or mate(v), or it would augment M too, so at
+    most two single-root searches decide the edge, and one when M is perfect.
     """
     n, adj = g.n, g.adjacency
     return _allowed_verdicts(n, adj, _max_matching_mates(n, adj), edges)
@@ -239,7 +253,7 @@ def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]], mate: list[int],
     adj = (*adj, ())
     for u, v in edges:
         a, b = mate[u], mate[v]
-        if a == v or a < 0 or b < 0:
+        if a == v or a < 0 or b < 0 or b in adj[a]:
             yield True
             continue
         trial = mate + [-1]
@@ -254,51 +268,39 @@ def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]], mate: list[int],
 # ---------------------------------------------------------------------------
 
 
-def _scan_matchings(g: Graph) -> tuple[int, list[tuple[Edge, ...]]]:
-    # Branch on the lowest undecided vertex: pair it with each free higher
-    # neighbor, then leave it exposed.  A matching of size s leaves exactly
-    # n - 2s vertices exposed, so the exposed branch is taken only while
-    # fewer than n - 2 * best_size are: every cut branch ends below the best
-    # size found, and ties are kept.  The bound counts vertices only; it is
-    # never seeded from the blossom search, which this oracle checks.
-    n = g.n
-    # The graph's own Edges, grouped by lower endpoint (g.edges is sorted).
-    higher: list[list[Edge]] = [[] for _ in range(n)]
-    for e in g.edges:
-        higher[e.u].append(e)
-    used = bytearray(n)
-    chosen: list[Edge] = []
-    best_size = -1
-    slack = n
-    best: list[tuple[Edge, ...]] = []
+def _scan_matchings(g: Graph) -> tuple[int, tuple[int, ...]]:
+    # ν and the maximum matchings' edge masks, in lexicographic order.  Per
+    # vertex bit: its (higher neighbor bit, edge bit) pairs, in edge order.
+    higher: dict[int, list[tuple[int, int]]] = {1 << v: [] for v in range(g.n)}
+    for k, (u, v) in enumerate(g.edges):
+        higher[1 << u].append((1 << v, 1 << k))
+    best: list[int] = []
+    fewest = _walk((1 << g.n) - 1, 0, 0, g.n, higher, best)
+    return (g.n - fewest) // 2, tuple(best)
 
-    def extend(v: int, exposed: int) -> None:
-        nonlocal best_size, slack, best
-        while v < n and used[v]:
-            v += 1
-        if v == n:
-            size = len(chosen)
-            if size > best_size:
-                best_size = size
-                slack = n - 2 * size
-                best = [tuple(chosen)]
-            elif size == best_size:
-                best.append(tuple(chosen))
-            return
-        # Later vertices look only at higher neighbors, so v needs no mark.
-        for e in higher[v]:
-            w = e.v
-            if not used[w]:
-                used[w] = 1
-                chosen.append(e)
-                extend(v + 1, exposed)
-                chosen.pop()
-                used[w] = 0
-        if exposed < slack:
-            extend(v + 1, exposed + 1)
 
-    extend(0, 0)
-    return best_size, best
+def _walk(free: int, exposed: int, chosen: int, fewest: int, higher: dict, best: list) -> int:
+    # Pair the lowest undecided vertex with each free higher neighbor, then
+    # leave it exposed: leaves come in lexicographic order.  A matching of
+    # size s leaves n - 2s vertices exposed; `fewest` is the fewest at a leaf
+    # so far (n at the start), returned updated, and best holds the leaves
+    # that tie it.  Exposing only while fewer are exposed cuts only branches
+    # that end below the best size, and keeps ties.
+    while free:
+        low = free & -free
+        free ^= low
+        for w, e in higher[low]:
+            if free & w:
+                fewest = _walk(free ^ w, exposed, chosen | e, fewest, higher, best)
+        if exposed >= fewest:
+            return fewest
+        exposed += 1
+    if exposed < fewest:
+        best.clear()
+    elif exposed > fewest:
+        return fewest
+    best.append(chosen)
+    return exposed
 
 
 def within_guard(g: Graph) -> bool:
@@ -312,17 +314,13 @@ def brute_force_matching_number(g: Graph) -> int:
 
 
 def enumerate_maximum_matchings(g: Graph) -> MatchingSet:
-    """All maximum matchings, sorted; the empty matching when the graph is edgeless."""
+    """All maximum matchings, in lexicographic order; the empty one if edgeless."""
     if not within_guard(g):
         raise GuardExceededError(
             f"exhaustive search limited to {ENUMERATION_EDGE_LIMIT} edges, "
             f"graph has {len(g.edges)}"
         )
-    nu, raw = _scan_matchings(g)
-    # Matching compares by its edges alone, so sorting the raw edge tuples
-    # sorts the matchings.
-    matchings = tuple(Matching(edges, g) for edges in sorted(raw))
-    return MatchingSet(g, matchings, nu)
+    return MatchingSet(g, *_scan_matchings(g))
 
 
 def matchings_containing(ms: MatchingSet, e: tuple[int, int]) -> tuple[Matching, ...]:

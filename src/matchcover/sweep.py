@@ -38,7 +38,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import compress
+from itertools import compress, tee
 from typing import IO, Iterable, Iterator, Sequence
 
 from .cover import _covered_without, _no_deletion_covered
@@ -297,9 +297,11 @@ class _Facts:
     def nu(self) -> int:
         return _matching_size(self.mate)
 
-    def _verdicts(self) -> Iterator[bool]:
+    @_fact
+    def _verdicts(self) -> tuple[Iterator[bool], Iterator[bool]]:
+        # One kernel run per graph, teed: allowed resumes where covered stopped.
         g = self.g
-        return _allowed_verdicts(g.n, g.adjacency, self.mate, g.edges)
+        return tee(_allowed_verdicts(g.n, g.adjacency, self.mate, g.edges))
 
     _deletion_covered = staticmethod(_covered_without)
 
@@ -309,11 +311,11 @@ class _Facts:
 
     @_fact
     def covered(self) -> bool:
-        return all(self._verdicts())
+        return all(self._verdicts[0])
 
     @_fact
     def allowed(self) -> tuple[Edge, ...]:
-        return tuple(compress(self.g.edges, self._verdicts()))
+        return tuple(compress(self.g.edges, self._verdicts[1]))
 
     @_fact
     def minimal_covered(self) -> bool:

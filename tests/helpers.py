@@ -82,16 +82,16 @@ def count_scans(monkeypatch) -> list[Graph]:
     return scanned
 
 
-def count_builds(monkeypatch) -> list[Graph]:
-    """Record every Graph constructed from now on."""
-    built: list[Graph] = []
-    original = Graph.__init__
+def count_builds(monkeypatch, cls: type = Graph) -> list:
+    """Record every ``cls`` (by default a Graph) constructed from now on."""
+    built: list = []
+    original = cls.__init__
 
     def counting(self, *args, **kwargs):
         original(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(Graph, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
 
 
@@ -135,6 +135,36 @@ def count_deletion_kernel_runs(monkeypatch) -> list[tuple[Graph, Edge]]:
 
     monkeypatch.setattr(cover, "_verdicts_without", counting)
     return runs
+
+
+def count_kernel_searches(monkeypatch) -> list[int]:
+    """Record the root of every single-root search that the allowed-edge
+    kernel runs through ``sweep._allowed_verdicts`` from now on; the blossom
+    pass and the kernel runs of the ``G - e`` deletion loop are not counted."""
+    roots: list[int] = []
+    in_kernel: list[bool] = []
+    augment, verdicts = matching._augment_from, sweep._allowed_verdicts
+
+    def counting_augment(root, *args):
+        if in_kernel:
+            roots.append(root)
+        return augment(root, *args)
+
+    def counting_verdicts(*args):
+        stream = verdicts(*args)
+        while True:
+            in_kernel.append(True)
+            try:
+                ok = next(stream, None)
+            finally:
+                in_kernel.pop()
+            if ok is None:
+                return
+            yield ok
+
+    monkeypatch.setattr(matching, "_augment_from", counting_augment)
+    monkeypatch.setattr(sweep, "_allowed_verdicts", counting_verdicts)
+    return roots
 
 
 class SerialPool:

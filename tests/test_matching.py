@@ -1,5 +1,7 @@
 """Matching computation and enumeration, checked against exhaustive backtracking."""
 
+import gc
+
 import pytest
 
 from matchcover import (
@@ -22,6 +24,7 @@ from matchcover import (
 )
 from matchcover import matching
 from matchcover.matching import ENUMERATION_EDGE_LIMIT, within_guard
+from matchcover.sweep import RANDOM_MODE, SweepConfig, run_sweep
 
 from helpers import (
     C4,
@@ -32,6 +35,7 @@ from helpers import (
     P4,
     TWO_K2,
     complete_graph,
+    count_builds,
     path_graph,
     reference_scan,
     star_graph,
@@ -139,30 +143,83 @@ class TestEnumeration:
         assert list(ms.matchings) == sorted(ms.matchings)
 
 
+class TestMasks:
+    """Members are edge masks; Matching objects are built only for iteration."""
+
+    def test_len_nu_and_allowed_build_no_matching(self, monkeypatch):
+        built = count_builds(monkeypatch, Matching)
+        ms = enumerate_maximum_matchings(C4)
+        assert ms.masks == (0b1001, 0b0110)  # C4.edges: 01, 03, 12, 23
+        assert (len(ms), ms.nu, ms.allowed) == (2, 2, C4.edges)
+        assert built == []
+        assert [f.edges for f in ms] == [(Edge(0, 1), Edge(2, 3)), (Edge(0, 3), Edge(1, 2))]
+        assert list(ms) == list(ms.matchings) and len(built) == 2
+
+    def test_oracle_sweep_builds_no_matching(self, monkeypatch):
+        built = count_builds(monkeypatch, Matching)
+        report = run_sweep(SweepConfig(
+            mode=RANDOM_MODE, properties=("oracle-nu", "oracle-allowed"), n=10,
+            edge_probability=0.3, sample_count=200, seed=2000,
+        ))
+        assert report.in_class == {"oracle-nu": 200, "oracle-allowed": 200}
+        assert built == []
+
+    def test_the_walk_leaves_no_cyclic_garbage(self):
+        graphs = [random_graph(10, 0.3, 2000 + i) for i in range(500)]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                ms = enumerate_maximum_matchings(g)
+                assert set(ms.allowed) == {e for f in ms for e in f.edges}
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestPrunedScan:
     """The walk cut by exposed vertices against the unpruned reference walk."""
 
     @staticmethod
     def assert_same_as_reference(g):
-        nu, raw = matching._scan_matchings(g)
+        nu, masks = matching._scan_matchings(g)
+        raw = [matching._edges_in(g.edges, mask) for mask in masks]
         ref_nu, ref_raw = reference_scan(g)
         assert nu == ref_nu
         assert sorted(raw) == sorted(ref_raw)
 
-    def test_every_labeled_graph_up_to_six_vertices(self):
+    @staticmethod
+    def labeled_graphs():
         for n in range(7):
-            for g in enumerate_labeled_graphs(n):
-                self.assert_same_as_reference(g)
+            yield from enumerate_labeled_graphs(n)
 
-    def test_seeded_graphs_7_to_14(self):
-        checked = 0
+    @staticmethod
+    def seeded_graphs():
         for n in range(7, 15):
             for seed in range(40):
                 g = random_graph(n, 0.3, seed)
                 if len(g.edges) <= ENUMERATION_EDGE_LIMIT:
-                    self.assert_same_as_reference(g)
-                    checked += 1
+                    yield g
+
+    def test_every_labeled_graph_up_to_six_vertices(self):
+        for g in self.labeled_graphs():
+            self.assert_same_as_reference(g)
+
+    def test_seeded_graphs_7_to_14(self):
+        checked = 0
+        for g in self.seeded_graphs():
+            self.assert_same_as_reference(g)
+            checked += 1
         assert checked >= 200
+
+    def test_members_come_out_sorted_with_no_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle sorted")
+
+        monkeypatch.setattr(matching, "sorted", refuse, raising=False)
+        for g in (*self.labeled_graphs(), *self.seeded_graphs()):
+            members = [f.edges for f in enumerate_maximum_matchings(g)]
+            assert members == sorted(members)
 
     @pytest.mark.parametrize(
         "g,nu,count",

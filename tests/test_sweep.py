@@ -53,6 +53,7 @@ from helpers import (
     count_builds,
     count_deletion_kernel_runs,
     count_edge_deletions,
+    count_kernel_searches,
     count_scans,
     labeled_graph,
     lex_pairs,
@@ -613,6 +614,40 @@ class TestOneEnumerationPerGraph:
             sweep_graphs([C4], ("theorem",))
         assert scanned.count(C4) == 1
         assert len(scanned) == 1 + len(C4.edges)
+
+
+class TestKernelSearches:
+    # random-oracle's seed-1 graphs: random_graph(10, 0.3, 2000 + i), i < 2000.
+    RANDOM = dict(mode=RANDOM_MODE, n=10, edge_probability=0.3, sample_count=2000, seed=2000)
+
+    @staticmethod
+    def searches(monkeypatch, *configs: dict) -> list[int]:
+        # The kernel searches each sweep runs, one count per config.
+        searches, counts = count_kernel_searches(monkeypatch), []
+        for cfg in configs:
+            searches.clear()
+            assert run_sweep(SweepConfig(**cfg)).total_failures == 0
+            counts.append(len(searches))
+        return counts
+
+    def test_covered_and_allowed_share_one_kernel_run_per_graph(self, monkeypatch):
+        # covered stops at the first disallowed edge; allowed resumes there.
+        counts = self.searches(
+            monkeypatch,
+            dict(properties=PROPERTY_NAMES, **self.RANDOM),
+            dict(properties=("oracle-allowed",), **self.RANDOM),
+            dict(properties=PROPERTY_NAMES[:4], **self.RANDOM),
+        )
+        assert counts == [15041, 15041, 3342]
+
+    def test_edges_on_alternating_4_cycles_take_no_search(self, monkeypatch):
+        # 146,557 and 18,177 searches without the 4-cycle shortcut.
+        counts = self.searches(
+            monkeypatch,
+            dict(mode=EXHAUSTIVE_MODE, properties=("oracle-allowed",), max_n=6),
+            dict(properties=("oracle-allowed",), **self.RANDOM),
+        )
+        assert counts == [95149, 15041]
 
 
 class TestOracleChecksCatchTheFastRoute:
