@@ -48,6 +48,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
+    if args.graph6 is not None and args.edges is not None:
+        raise ValueError("--graph6 cannot be combined with --edges")
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.edges is not None:

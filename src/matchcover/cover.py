@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graph import (
     Edge,
@@ -159,16 +159,7 @@ def is_minimal_matching_covered(g: Graph) -> bool:
     The deletion test keeps the vertex set intact: the comparison is between
     ``G - e`` and its own core as graphs on the same vertices.
     """
-    return is_matching_covered(g) and _no_deletion_covered(g, _covered_without)
-
-
-def _no_deletion_covered(g: Graph, covered: Callable[[Graph, Edge], bool]) -> bool:
-    return next(_covered_deletions(g, covered), None) is None
-
-
-def _covered_deletions(g: Graph, covered: Callable[[Graph, Edge], bool]) -> Iterator[Edge]:
-    # Each e, in edge order, with `covered(g, e)`: the one deletion loop of both routes.
-    return (e for e in g.edges if covered(g, e))
+    return is_matching_covered(g) and not any(_covered_without(g, e) for e in g.edges)
 
 
 def _verdicts_without(g: Graph, e: Edge) -> tuple[tuple[Edge, ...], Iterator[bool]]:
@@ -208,7 +199,7 @@ def minimize_with_trace(
     initial = isolated_vertices(g)
     g = drop_isolated(g)
     trace: list[DeletionStep] = []
-    while (e := next(_covered_deletions(g, _covered_without), None)) is not None:
+    while (e := next((x for x in g.edges if _covered_without(g, x)), None)) is not None:
         smaller = delete_edge(g, e)
         trace.append(DeletionStep(e, isolated_vertices(smaller)))
         g = drop_isolated(smaller)
@@ -357,7 +348,7 @@ def analyze(g: Graph) -> CoverReport:
     allowed = tuple(compress(g.edges, verdicts))
     disallowed = tuple(compress(g.edges, (not ok for ok in verdicts)))
     covered = not disallowed
-    minimal = covered and _no_deletion_covered(g, _covered_without)
+    minimal = covered and not any(_covered_without(g, e) for e in g.edges)
     return CoverReport(
         nu=nu,
         allowed=allowed,

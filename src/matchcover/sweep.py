@@ -4,12 +4,12 @@ A sweep walks a population of graphs (exhaustive over all labeled simple
 graphs up to a size bound, a seeded random family, or an ingested graph6
 stream), evaluates each requested property on the graphs satisfying its
 hypothesis class, and tallies passes and failures.  A population yields
-one facts object per graph.  Facts come from three sources: the fast route
-(random and ingested graphs), the oracle route (re-verification), and, for
-labeled graphs, a per-chunk table of ν per edge mask off which "is G (or
-G - e) matching covered" is read over the mask's set bits, with no blossom
-search and no ``Graph``.  Every chunk of work, the whole population in a
-serial sweep, returns one keyed ``Counter`` tally, and one merge sums them.
+one facts object per graph, from one of three routes that supply only ν,
+the allowed edges, "matching covered" and the G - e deletion test: the
+fast route (random and ingested graphs), the oracle route (re-verification)
+and, for labeled graphs, a per-chunk table of ν per edge mask read over the
+mask's set bits, with no blossom search and no ``Graph``.  Every chunk of
+work returns one keyed ``Counter`` tally, and one merge sums them.
 The first counterexample is minimal under ``(n, graph6)`` ordering no matter
 how the work is scheduled, and any failure detected by the fast predicates
 is re-verified against the enumeration oracle before it is reported.
@@ -41,7 +41,7 @@ from functools import cache, lru_cache
 from itertools import compress, tee
 from typing import IO, Iterable, Iterator, Sequence
 
-from .cover import _covered_without, _no_deletion_covered
+from .cover import _covered_without
 from .graph import (
     GRAPH6_MAX_N,
     Edge,
@@ -278,12 +278,12 @@ def ingest_graph6_stream(
 class _Facts:
     """Lazily computed per-graph facts shared across property checks.
 
-    ``nu``, ``covered``, ``allowed`` and the deletion test come from one of
-    three sources, and all else is shared: the fast route here, where one
-    blossom maximum matching (``mate``) gives ν and feeds the allowed-edge
-    kernel, and ``_deletion_covered(g, e)`` runs per edge; the oracle route
-    in :class:`_OracleFacts`; and, for labeled graphs, ``covered`` and
-    ``minimal_covered`` read off a ν table in :class:`_LabeledFacts`.
+    A route supplies ``nu``, ``allowed``, ``covered`` and ``deletions()``
+    (per edge of ``g.edges``, whether G - e is matching covered); every
+    other fact is defined here once.  ``missed`` (D(G)) and ``keys`` read
+    ``ms``, the one enumeration that every route shares.  This class is the
+    fast route: one blossom maximum matching (``mate``) gives ν and feeds the
+    allowed-edge kernel, which also decides each G - e.
     """
 
     def __init__(self, g: Graph):
@@ -303,12 +303,6 @@ class _Facts:
         g = self.g
         return tee(_allowed_verdicts(g.n, g.adjacency, self.mate, g.edges))
 
-    _deletion_covered = staticmethod(_covered_without)
-
-    @_fact
-    def connected(self) -> bool:
-        return is_connected(self.g)
-
     @_fact
     def covered(self) -> bool:
         return all(self._verdicts[0])
@@ -317,13 +311,20 @@ class _Facts:
     def allowed(self) -> tuple[Edge, ...]:
         return tuple(compress(self.g.edges, self._verdicts[1]))
 
+    def deletions(self) -> Iterator[bool]:
+        return (_covered_without(self.g, e) for e in self.g.edges)
+
     @_fact
     def minimal_covered(self) -> bool:
-        return self.covered and _no_deletion_covered(self.g, self._deletion_covered)
+        return self.covered and not any(self.deletions())
 
     @_fact
     def perfect(self) -> bool:
         return _covers_all(self.g.n, self.nu)
+
+    @_fact
+    def connected(self) -> bool:
+        return is_connected(self.g)
 
     @_fact
     def no_isolated(self) -> bool:
@@ -338,13 +339,23 @@ class _Facts:
         return bipartition(self.g)
 
     @_fact
-    def missed_by_some(self) -> frozenset[int]:
-        everyone = frozenset(range(self.g.n))
-        return frozenset().union(*(everyone - f.covered_vertices() for f in self.ms))
+    def missed(self) -> frozenset[int]:
+        # D(G), the vertices some maximum matching misses: v is missed by a
+        # mask of ms that shares no bit with the mask of v's edges.
+        g, masks = self.g, self.ms.masks
+        at = (sum(1 << k for k, e in enumerate(g.edges) if v in e) for v in range(g.n))
+        return frozenset(v for v, edges in enumerate(at) if not all(m & edges for m in masks))
+
+    @_fact
+    def keys(self) -> tuple[int, ...]:
+        # Per edge, the maximum matchings through it: bit i for ms.masks[i].
+        masks = self.ms.masks
+        return tuple(sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+                     for k in range(len(self.g.edges)))
 
 
 class _OracleFacts(_Facts):
-    """The same facts with nu and allowed edges taken from enumeration only."""
+    """The enumeration route: ν and the allowed edges read off ``ms`` only."""
 
     @_fact
     def nu(self) -> int:
@@ -358,21 +369,20 @@ class _OracleFacts(_Facts):
     def allowed(self) -> tuple[Edge, ...]:
         return self.ms.allowed
 
-    @staticmethod
-    def _deletion_covered(g: Graph, e: Edge) -> bool:
-        return _OracleFacts(delete_edge(g, e)).covered
+    def deletions(self) -> Iterator[bool]:
+        return (_OracleFacts(delete_edge(self.g, e)).covered for e in self.g.edges)
 
 
 class _LabeledFacts(_Facts):
-    """Facts of the labeled graph on ``n`` vertices with edge mask ``mask``.
+    """The labeled graph on ``n`` vertices with edge mask ``mask``, read off
+    ``table``, the chunk's :func:`_nu_table` for this n.
 
-    ``table`` is the chunk's :func:`_nu_table` for this n.  ``covered`` is
-    the nu-difference test read off it over m's set bits (the pair of bit b
-    is allowed iff ``nu[m & keep[b]] == nu[m] - 1``); ``minimal_covered``
-    runs that test for each G - e at ``mask ^ b``, over the same bits and
-    with no ``Graph``; ``no_isolated`` is read from the vertices' pair masks.
-    ``g`` is built only when a check reads it; ``nu`` and ``allowed`` stay
-    the fast route's, which ``oracle-nu`` and ``oracle-allowed`` check.
+    ``covered`` is the nu-difference test over the mask's set bits (the pair
+    of bit b is allowed iff ``nu[m & keep[b]] == nu[m] - 1``), and
+    ``deletions()`` runs it for each G - e at ``mask ^ b``, with no ``Graph``;
+    ``no_isolated`` is read from the vertices' pair masks.  ``g`` is built
+    only when a check reads it; ``nu`` and ``allowed`` stay the fast
+    route's, which ``oracle-nu`` and ``oracle-allowed`` check.
     """
 
     def __init__(self, n: int, mask: int, table: bytearray):
@@ -396,10 +406,9 @@ class _LabeledFacts(_Facts):
     def covered(self) -> bool:
         return self._covered_mask(self.mask)
 
-    @_fact
-    def minimal_covered(self) -> bool:
+    def deletions(self) -> Iterator[bool]:
         mask = self.mask
-        return self.covered and not any(self._covered_mask(mask ^ b) for b in _set_bits(mask))
+        return (self._covered_mask(mask ^ b) for b in _set_bits(mask))
 
     @_fact
     def no_isolated(self) -> bool:
@@ -419,7 +428,7 @@ def _check_lemma1(facts: _Facts) -> tuple[bool, bool]:
         return False, True
     # The minimum distance over the maximum matchings is 0 iff one of them
     # misses an endpoint, i.e. an endpoint is missed by some matching.
-    missed = facts.missed_by_some
+    missed = facts.missed
     return True, all(e.u in missed or e.v in missed for e in facts.g.edges)
 
 
@@ -427,15 +436,14 @@ def _check_lemma2(facts: _Facts) -> tuple[bool, bool]:
     in_class = facts.connected and facts.covered and not facts.perfect
     if not in_class:
         return False, True
-    keys = [tuple(i for i, f in enumerate(facts.ms) if e in f) for e in facts.g.edges]
-    return True, len(set(keys)) == len(keys)
+    return True, len(set(facts.keys)) == len(facts.keys)
 
 
 def _check_corollary(facts: _Facts) -> tuple[bool, bool]:
     in_class = facts.connected and facts.covered and facts.parts is not None
     if not in_class:
         return False, True
-    missed = facts.missed_by_some
+    missed = facts.missed
     # The bipartition is an unordered pair, so the implication is checked
     # on both parts.
     return True, all(part <= missed for part in facts.parts if part & missed)
@@ -466,15 +474,13 @@ PROPERTY_NAMES = tuple(_CHECKS)
 
 
 def _reverify_failure(g: Graph, prop: str) -> None:
-    """Confirm a failure using only enumeration-based predicates.
+    """Confirm a failure on the oracle route before it is reported.
 
-    The fast predicates (blossom matching numbers, the allowed-edge kernel)
-    decide class membership during the sweep; before a counterexample is
-    reported, the same check is rerun from scratch on oracle-route facts, so
-    class membership and the property itself come from exhaustive
-    enumeration.  A disagreement between the two routes means the tool
-    itself is broken, which is raised as :class:`RouteDisagreementError`
-    rather than reported as a counterexample.
+    The same check is rerun from scratch on :class:`_OracleFacts`, whose
+    route members come from enumeration alone.  ``missed`` and ``keys`` come
+    from the one enumeration on every route, so for the lemmas only the
+    class is checked again.  A disagreement means the tool itself is broken
+    and raises :class:`RouteDisagreementError`, not a counterexample.
     """
     if prop in ("oracle-nu", "oracle-allowed"):
         return  # these properties *are* route comparisons

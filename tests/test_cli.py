@@ -240,6 +240,16 @@ class TestInputLimits:
         assert out == ""
         assert err.startswith("error:") and "n <= 62" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "core", "minimize", "witness"])
+    def test_two_graph_sources_exit_2(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "c4.txt"
+        path.write_text("4\n0 1\n1 2\n2 3\n0 3\n")
+        # Any analysis after loading would fail on the missing module.
+        monkeypatch.setattr(cli, "cover", None)
+        code, out, err = run_cli(capsys, [command, "--graph6", "Cl", "--edges", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--graph6" in err and "--edges" in err
+
     def test_more_than_62_vertices_on_stdin_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(self.C64_EDGE_LIST))
         monkeypatch.setattr(cli, "cover", None)

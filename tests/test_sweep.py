@@ -10,6 +10,7 @@ import pytest
 
 from matchcover import (
     Graph,
+    Matching,
     MatchingSet,
     SweepConfig,
     delete_edge,
@@ -26,6 +27,7 @@ from matchcover import (
     to_graph6,
 )
 from matchcover.graph import isolated_vertices
+from matchcover.matching import within_guard
 from matchcover.sweep import (
     _CHECKS,
     EXHAUSTIVE_MODE,
@@ -802,8 +804,16 @@ class TestLazyFacts:
         for cls in (_Facts, _OracleFacts, _LabeledFacts):
             for name in ("nu", "covered", "allowed", "minimal_covered", "perfect", "ms"):
                 assert isinstance(getattr(cls, name), _fact)
-        assert _OracleFacts.nu is _OracleFacts.__dict__["nu"] is not _Facts.nu
-        assert _LabeledFacts.g is _LabeledFacts.__dict__["g"]
+        # A route defines only the route members, and the labeled route also
+        # its representation; every other fact has its one home in _Facts.
+        route = {"nu", "allowed", "covered", "deletions"}
+        own = {cls: {name for name in vars(cls) if not name.startswith("__")}
+               for cls in (_OracleFacts, _LabeledFacts)}
+        assert own[_OracleFacts] == route
+        assert own[_LabeledFacts] <= route | {"g", "no_isolated", "_covered_mask"}
+        for name in ("minimal_covered", "perfect", "missed", "keys"):
+            homes = [cls for cls in (_Facts, _OracleFacts, _LabeledFacts) if name in vars(cls)]
+            assert homes == [_Facts], name
 
     # The package's other lazy attributes use the same descriptor.
     PACKAGE_FACTS = pytest.mark.parametrize(
@@ -851,6 +861,45 @@ class TestLemma1ReadsMembership:
         assert report.population == 1100
         assert report.in_class == report.passes == {"lemma1": 517}
         assert report.first_counterexample is None
+
+
+class TestLemmaFactsReadMasks:
+    # missed (D(G)) and keys (per edge, the maximum matchings through it) are
+    # read off the enumeration's edge masks; the references read Matchings.
+    @staticmethod
+    def agree(facts):
+        g = facts.g
+        ms = list(enumerate_maximum_matchings(g))
+        everyone = frozenset(range(g.n))
+        missed = frozenset().union(*(everyone - f.covered_vertices() for f in ms))
+        keys = [{i for i, f in enumerate(ms) if e in f} for e in g.edges]
+        assert facts.missed == missed, to_graph6(g)
+        through = [{i for i in range(len(ms)) if key >> i & 1} for key in facts.keys]
+        assert through == keys, to_graph6(g)
+
+    def test_every_labeled_graph_up_to_n5(self):
+        labeled = [
+            facts
+            for n in range(6)
+            for facts in _labeled_facts(n, range(1 << (n * (n - 1) // 2)))
+        ]
+        assert len(labeled) == 1100
+        for facts in labeled:
+            self.agree(facts)
+
+    def test_seeded_random_graphs_within_the_guard(self):
+        graphs = [random_graph(7 + i % 6, 0.35, 4000 + i) for i in range(100)]
+        assert all(map(within_guard, graphs))
+        for g in graphs:
+            self.agree(_Facts(g))
+
+    def test_all_six_sweep_builds_no_matching(self, monkeypatch):
+        built = count_builds(monkeypatch, Matching)
+        report = run_sweep(
+            SweepConfig(mode=EXHAUSTIVE_MODE, properties=PROPERTY_NAMES, max_n=5)
+        )
+        assert report.population == 1100 and report.total_failures == 0
+        assert built == []
 
 
 class TestInterpretationGap:
