@@ -51,6 +51,7 @@ from .matching import (
     matchings_containing,
     within_guard,
     _allowed_verdicts,
+    _augment_from,
     _covers_all,
     _matching_size,
     _max_matching_mates,
@@ -162,17 +163,37 @@ def is_minimal_matching_covered(g: Graph) -> bool:
     return is_matching_covered(g) and not any(_covered_without(g, e) for e in g.edges)
 
 
-def _verdicts_without(g: Graph, e: Edge) -> tuple[tuple[Edge, ...], Iterator[bool]]:
-    # Edges and lazy verdicts of G - e without building it: G's lists, e's ends filtered.
+def _verdicts_without(g: Graph, e: Edge) -> tuple[tuple[Edge, ...], Iterator[bool], list[int]]:
+    # Edges and lazy verdicts of G - e without building it, and the mates of
+    # the maximum matching of G - e that the verdicts read.
+    adj = _adjacency_without(g, e)
+    edges = tuple(x for x in g.edges if x != e)
+    mate = _max_matching_mates(g.n, adj)
+    return edges, _allowed_verdicts(g.n, adj, mate, edges), mate
+
+
+def _adjacency_without(g: Graph, e: Edge) -> list[tuple[int, ...]]:
     adj = list(g.adjacency)
     adj[e.u] = tuple(x for x in adj[e.u] if x != e.v)
     adj[e.v] = tuple(x for x in adj[e.v] if x != e.u)
-    edges = tuple(x for x in g.edges if x != e)
-    return edges, _allowed_verdicts(g.n, adj, _max_matching_mates(g.n, adj), edges)
+    return adj
 
 
 def _covered_without(g: Graph, e: Edge) -> bool:
     return all(_verdicts_without(g, e)[1])
+
+
+def _still_rejected(g: Graph, e: Edge, f: Edge, mate: list[int], d: Edge) -> bool:
+    # Whether f stays not allowed in g - e, for g = G - d and mate a maximum
+    # matching of G - e, repaired in place when it held d (as in
+    # _allowed_verdicts, the search from v can help only if mate was not perfect).
+    u, v = d
+    if mate[u] != v:
+        return d != f
+    exposed = -1 in mate
+    mate[u] = mate[v] = -1
+    adj = _adjacency_without(g, e)
+    return _augment_from(u, g.n, adj, mate) or exposed and _augment_from(v, g.n, adj, mate)
 
 
 def minimize(g: Graph) -> Graph:
@@ -193,17 +214,36 @@ def minimize_with_trace(
     g: Graph,
 ) -> tuple[Graph, tuple[int, ...], tuple[DeletionStep, ...]]:
     """Like :func:`minimize`, also reporting the input's shed isolated
-    vertices and each deletion step."""
+    vertices and each deletion step.
+
+    A rejected edge e keeps f, an edge not allowed in ``G - e``, and M, a
+    maximum matching of ``G - e``, and is skipped while they prove it.  After
+    deleting d != f, if M (d not in M) or M - d augmented from an end of d is
+    maximum in ``G - d - e``, its maximum matchings are ones of ``G - e``, so
+    none holds f.  Otherwise the scan tests e again, as when vertices drop.
+    """
     if not is_matching_covered(g):
         raise ValueError("minimize requires a matching covered graph")
     initial = isolated_vertices(g)
     g = drop_isolated(g)
     trace: list[DeletionStep] = []
-    while (e := next((x for x in g.edges if _covered_without(g, x)), None)) is not None:
+    kept: dict[Edge, tuple[Edge, list[int]]] = {}
+    while True:
+        for e in g.edges:
+            if e not in kept:
+                edges, verdicts, mate = _verdicts_without(g, e)
+                if (f := next(compress(edges, (not ok for ok in verdicts)), None)) is None:
+                    break
+                kept[e] = f, mate
+        else:
+            return g, initial, tuple(trace)
         smaller = delete_edge(g, e)
-        trace.append(DeletionStep(e, isolated_vertices(smaller)))
+        dropped = isolated_vertices(smaller)
+        trace.append(DeletionStep(e, dropped))
+        kept = {} if dropped else {
+            x: r for x, r in kept.items() if _still_rejected(smaller, x, *r, e)
+        }
         g = drop_isolated(smaller)
-    return g, initial, tuple(trace)
 
 
 def mu(g: Graph, e: tuple[int, int], f: Matching) -> int | None:
@@ -275,7 +315,7 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
 
 def _dominated_edge(g: Graph, e: Edge, ms: MatchingSet | None) -> Edge:
     # The fast candidate, checked for inclusion against ``ms`` when given.
-    edges, verdicts = _verdicts_without(g, e)
+    edges, verdicts, _ = _verdicts_without(g, e)
     dominated = next((cand for cand, ok in zip(edges, verdicts) if not ok), None)
     if dominated is None:
         raise ValueError(

@@ -18,7 +18,6 @@ order, so repeated runs and parallel schedules produce identical results.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
@@ -158,11 +157,12 @@ def _augment_from(root: int, n: int, adj: Sequence[Sequence[int]],
     base = list(range(n))
     seen = [False] * n
     seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    # The queue grows while the loop walks it: the same order as a deque.
+    queue = [root]
+    for v in queue:
+        bv, mv = base[v], mate[v]
         for to in adj[v]:
-            if base[v] == base[to] or mate[v] == to:
+            if bv == base[to] or mv == to:
                 continue
             if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
                 # Odd cycle through two even-level vertices: contract it.
@@ -176,6 +176,7 @@ def _augment_from(root: int, n: int, adj: Sequence[Sequence[int]],
                         if not seen[i]:
                             seen[i] = True
                             queue.append(i)
+                bv = base[v]
             elif parent[to] < 0:
                 parent[to] = v
                 if mate[to] < 0:

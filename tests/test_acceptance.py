@@ -368,6 +368,7 @@ def test_criterion_09_golden_fixtures():
         "core_p4.json": oracle_core_payload(parse_graph6("Ch")),
         "minimize_k3.json": oracle_minimize_payload(parse_graph6("Bw")),
         "minimize_c4.json": oracle_minimize_payload(parse_graph6("Cl")),
+        "minimize_n16.json": oracle_minimize_payload(parse_graph6("O??OH?W?AAHGQOhOpG}IP")),
         "witness_c4.json": oracle_witness_payload(parse_graph6("Cl")),
         "witness_k4.json": oracle_witness_payload(parse_graph6("C~")),
     }

@@ -36,12 +36,14 @@ from matchcover import (
     minimize,
     minimize_with_trace,
     mu,
+    parse_graph6,
     random_graph,
     theorem_witness_sequence,
 )
 from matchcover import matching
 from matchcover.cover import DeletionStep, _covered_without, shared_matching_set
 from matchcover.graph import isolated_vertices
+from matchcover.sweep import _OracleFacts
 
 from helpers import (
     C4,
@@ -54,6 +56,7 @@ from helpers import (
     STAR3,
     TWO_K2,
     count_blossom_passes,
+    count_deletion_kernel_runs,
     count_scans,
     cycle_graph,
     path_graph,
@@ -234,6 +237,32 @@ class TestDeletionInTheKernel:
 
     def test_every_edge_of_seeded_graphs_8_to_14(self):
         assert self.check(seeded_graphs_8_to_14()) == (1024, 45, 31)
+
+    def test_minimize_of_seeded_cores_16_to_30(self):
+        # Long traces, where rejections are carried across many deletions;
+        # results within the guard are also checked minimal by enumeration.
+        guarded = 0
+        for n, p in ((16, 0.3), (20, 0.25), (24, 0.2), (30, 0.15)):
+            for seed in range(4):
+                g = core_subgraph(random_graph(n, p, seed))
+                result = minimize_with_trace(g)
+                assert result == minimize_by_rebuild(g), (n, p, seed)
+                if matching.within_guard(result[0]):
+                    assert _OracleFacts(result[0]).minimal_covered, (n, p, seed)
+                    guarded += 1
+        assert guarded == 13
+
+    @pytest.mark.parametrize(
+        "code, runs",
+        [("O??OH?W?AAHGQOhOpG}IP", 80), ("OL_AkQCkRGPQ?geB@k@ae", 53)],
+    )
+    def test_minimize_reruns_the_kernel_only_for_lapsed_rejections(
+        self, monkeypatch, code, runs
+    ):
+        # Rescanning every earlier edge at each step ran 154 and 201 times.
+        kernel_runs = count_deletion_kernel_runs(monkeypatch)
+        minimize_with_trace(parse_graph6(code))
+        assert len(kernel_runs) == runs
 
 
 class TestCoreSubgraph:
