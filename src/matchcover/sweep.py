@@ -210,9 +210,18 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# The fields of a ν-table byte (see _nu_table): ν <= 4 for n <= MAX_EXHAUSTIVE_N.
+_NU, _DECIDED, _COVERED = 0x0F, 0x10, 0x20
+
+
 def _nu_table(n: int, stop: int) -> bytearray:
     """The matching number of every labeled graph on ``n`` vertices with edge
     mask below ``stop``, one byte per mask.
+
+    ν is bits 0-3 of a mask's byte.  Bits 4 and 5 are built clear and belong
+    to :meth:`_LabeledFacts._covered_mask`, the only writer after this
+    function: bit 4 once the mask's covered verdict is decided, bit 5 when
+    that verdict is "covered".  Read ν as ``byte & _NU``.
 
     A maximum matching of mask m either avoids m's top pair, bit t, or takes
     it with pairs that share no endpoint with it:
@@ -373,34 +382,52 @@ class _OracleFacts(_Facts):
         return (_OracleFacts(delete_edge(self.g, e)).covered for e in self.g.edges)
 
 
+def _covered_walk(table: bytearray, keep: dict[int, int], mask: int) -> int:
+    # The verdict bits of mask by the nu-difference test over its set bits:
+    # the pair of bit b is allowed iff nu[mask & keep[b]] == nu[mask] - 1.
+    # The labeled sweep's hot loop, so _set_bits is written out inline.
+    less = (table[mask] & _NU) - 1
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if table[mask & keep[low]] & _NU != less:
+            return _DECIDED
+        rest ^= low
+    return _DECIDED | _COVERED
+
+
 class _LabeledFacts(_Facts):
     """The labeled graph on ``n`` vertices with edge mask ``mask``, read off
     ``table``, the chunk's :func:`_nu_table` for this n.
 
-    ``covered`` is the nu-difference test over the mask's set bits (the pair
-    of bit b is allowed iff ``nu[m & keep[b]] == nu[m] - 1``), and
-    ``deletions()`` runs it for each G - e at ``mask ^ b``, with no ``Graph``;
-    ``no_isolated`` is read from the vertices' pair masks.  ``g`` is built
-    only when a check reads it; ``nu`` and ``allowed`` stay the fast
-    route's, which ``oracle-nu`` and ``oracle-allowed`` check.
+    ``covered`` is the nu-difference test over the mask's set bits, and
+    ``deletions()`` runs it for each G - e at ``mask ^ b``, with no ``Graph``.
+    ``_covered_mask`` stores each verdict in bits 4 and 5 of that mask's
+    table byte (ν keeps bits 0-3), so the chunk walks a mask at most once and
+    later reads, by ``covered`` or by another graph's ``deletions()``, take
+    the stored verdict.  ``no_isolated`` is read from the vertices' pair
+    masks when the object is made.  ``g`` is built only when a check reads
+    it; ``nu`` and ``allowed`` stay the fast route's, which ``oracle-nu`` and
+    ``oracle-allowed`` check.
     """
 
     def __init__(self, n: int, mask: int, table: bytearray):
         self.n = n
         self.mask = mask
         self.table = table
+        self.no_isolated = all(map(mask.__and__, _pair_masks(n)[0]))
 
     @_fact
     def g(self) -> Graph:
         return _graph_from_mask(self.n, self.mask)
 
     def _covered_mask(self, mask: int) -> bool:
-        table, keep = self.table, _pair_masks(self.n)[1]
-        less = table[mask] - 1
-        for low in _set_bits(mask):
-            if table[mask & keep[low]] != less:
-                return False
-        return True
+        table = self.table
+        byte = table[mask]
+        if byte < _DECIDED:
+            byte |= _covered_walk(table, _pair_masks(self.n)[1], mask)
+            table[mask] = byte
+        return byte >= _COVERED
 
     @_fact
     def covered(self) -> bool:
@@ -410,13 +437,11 @@ class _LabeledFacts(_Facts):
         mask = self.mask
         return (self._covered_mask(mask ^ b) for b in _set_bits(mask))
 
-    @_fact
-    def no_isolated(self) -> bool:
-        return all(self.mask & at for at in _pair_masks(self.n)[0])
-
 
 def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
-    in_class = facts.no_isolated and facts.minimal_covered and bool(facts.g.edges)
+    # covered first: it rejects most graphs without the minimal-covered fact.
+    in_class = (facts.no_isolated and facts.covered and facts.minimal_covered
+                and bool(facts.g.edges))
     if not in_class:
         return False, True
     return True, facts.perfect

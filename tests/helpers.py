@@ -167,6 +167,21 @@ def count_kernel_searches(monkeypatch) -> list[int]:
     return roots
 
 
+def count_covered_walks(monkeypatch) -> list[tuple[bytearray, int]]:
+    """Record ``(table, mask)`` for every walk of a mask's set bits that the
+    labeled facts run (``sweep._covered_walk``) from now on; each table is
+    kept, so ``id(table)`` names one chunk's table."""
+    walks: list[tuple[bytearray, int]] = []
+    original = sweep._covered_walk
+
+    def counting(table, keep, mask):
+        walks.append((table, mask))
+        return original(table, keep, mask)
+
+    monkeypatch.setattr(sweep, "_covered_walk", counting)
+    return walks
+
+
 class SerialPool:
     """Stands in for ``multiprocessing.Pool``: runs a sweep's chunks in order,
     in this process, so the sweep's chunking can be probed in-process."""

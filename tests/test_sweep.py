@@ -37,14 +37,20 @@ from matchcover.sweep import (
     SplitMix64,
     StreamParseError,
     _Facts,
+    _COVERED,
+    _DECIDED,
+    _NU,
     _LabeledFacts,
+    _covered_walk,
     _labeled_facts,
     _merge_tallies,
     _nu_table,
     _OracleFacts,
     _fact,
+    _pair_masks,
     _splitmix64_lanes,
     _sweep_chunk,
+    _tally_graphs,
 )
 
 from helpers import (
@@ -53,6 +59,7 @@ from helpers import (
     SerialPool,
     count_blossom_passes,
     count_builds,
+    count_covered_walks,
     count_deletion_kernel_runs,
     count_edge_deletions,
     count_kernel_searches,
@@ -652,6 +659,30 @@ class TestKernelSearches:
         assert counts == [95149, 15041]
 
 
+class TestCoveredWalks:
+    # The labeled route walks a mask's set bits at most once per chunk: the
+    # 28,264 n <= 6 masks without an isolated vertex, and 819 more in the
+    # deletion loop of the 5,329 covered ones (41,681 without the stored
+    # verdicts).
+    CFG = dict(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=6)
+
+    def test_serial_theorem_sweep_walks_29083_masks(self, monkeypatch):
+        walks = count_covered_walks(monkeypatch)
+        report = run_sweep(SweepConfig(**self.CFG))
+        assert report.in_class == {"theorem": 349}
+        assert len(walks) == 29083
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4, 8])
+    def test_no_chunk_walks_a_mask_twice(self, monkeypatch, jobs):
+        from matchcover import sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "Pool", SerialPool)
+        walks = count_covered_walks(monkeypatch)
+        report = run_sweep(SweepConfig(jobs=jobs, **self.CFG))
+        assert report.in_class == {"theorem": 349}
+        assert len({(id(table), mask) for table, mask in walks}) == len(walks) >= 29083
+
+
 class TestOracleChecksCatchTheFastRoute:
     # Every labeled graph with n <= 4: 1 + 1 + 2 + 8 + 64 = 76, 5 of them edgeless.
     CFG = dict(mode=EXHAUSTIVE_MODE, max_n=4)
@@ -722,7 +753,8 @@ class TestNuTable:
             mask = rng.next_uint64() >> 43  # 21 bits: one coin per vertex pair
             facts = _LabeledFacts(7, mask, table)
             g = facts.g
-            assert table[mask] == matching_number(g), to_graph6(g)
+            # An earlier mask's deletion loop may have stored this mask's verdict.
+            assert table[mask] & _NU == matching_number(g), to_graph6(g)
             assert facts.covered == is_matching_covered(g), to_graph6(g)
             for e in g.edges:
                 expected = is_matching_covered(delete_edge(g, e))
@@ -731,6 +763,79 @@ class TestNuTable:
     @pytest.mark.parametrize("stop", [1, 2, 3, 1000, 1 << 14, (1 << 15) - 1])
     def test_a_chunk_table_is_a_prefix_of_the_whole_table(self, stop):
         assert _nu_table(6, stop) == _nu_table(6, 1 << 15)[:stop]
+
+
+class TestStoredVerdicts:
+    # _covered_mask stores each mask's verdict in bits 4 (decided) and 5
+    # (covered) of its table byte; the sweep then reads it instead of walking.
+    THEOREM = ("theorem",)
+    NIBBLE = bytes(b & _NU for b in range(256))
+
+    @staticmethod
+    def expected(n, stop, masks):
+        # A fresh table, and per mask a fresh walk on it, checked against the
+        # blossom route on a graph built by testing every pair.
+        fresh, keep = _nu_table(n, stop), _pair_masks(n)[1]
+        verdicts = {}
+        for mask in masks:
+            walked = _covered_walk(fresh, keep, mask)
+            assert walked & _DECIDED
+            verdicts[mask] = bool(walked & _COVERED)
+            assert verdicts[mask] == is_matching_covered(labeled_graph(n, mask)), (n, mask)
+        assert max(fresh, default=0) < _DECIDED  # the walks wrote nothing
+        return bytes(fresh), verdicts
+
+    def assert_stored(self, table, fresh, verdicts, every) -> int:
+        # Each decided mask holds its expected verdict, every mask is decided
+        # if every is set, and every ν nibble is the fresh table's; returns
+        # how many of the masks are decided.
+        decided = 0
+        for mask, covered in verdicts.items():
+            byte = table[mask]
+            if byte & _DECIDED:
+                decided += 1
+                assert bool(byte & _COVERED) == covered, mask
+            else:
+                assert not every and byte == fresh[mask], mask
+        assert table.translate(self.NIBBLE) == fresh
+        return decided
+
+    def before_and_after(self, population, fresh, verdicts) -> int:
+        # The population's chunk swept first, then read; then a second copy
+        # read first, then swept: the same verdicts and the same tally.
+        masks = [facts.mask for facts in population]
+        table = population[0].table
+        tally = _tally_graphs(population, self.THEOREM)
+        decided = self.assert_stored(table, fresh, verdicts, every=False)
+        assert [facts.covered for facts in population] == list(verdicts.values())
+        self.assert_stored(table, fresh, verdicts, every=True)
+
+        table = bytearray(fresh)
+        population = [_LabeledFacts(population[0].n, mask, table) for mask in masks]
+        assert [facts.covered for facts in population] == list(verdicts.values())
+        self.assert_stored(table, fresh, verdicts, every=True)
+        assert _tally_graphs(population, self.THEOREM) == tally
+        self.assert_stored(table, fresh, verdicts, every=True)
+        return decided
+
+    def test_every_mask_up_to_n6_before_and_after_its_chunk_is_swept(self):
+        decided = 0
+        for n in range(7):
+            masks = range(1 << (n * (n - 1) // 2))
+            fresh, verdicts = self.expected(n, masks.stop, masks)
+            decided += self.before_and_after(list(_labeled_facts(n, masks)), fresh, verdicts)
+        # The sweep decides the 28,264 masks without an isolated vertex and
+        # 819 more in the deletion loop of the covered ones.
+        assert decided == 28264 + 819
+
+    def test_seeded_n7_masks_before_and_after_they_are_swept(self):
+        # The masks of TestNuTable's n = 7 check, as the facts of one chunk.
+        rng = SplitMix64(11)
+        masks = list(dict.fromkeys(rng.next_uint64() >> 43 for _ in range(2000)))
+        fresh, verdicts = self.expected(7, 1 << 21, masks)
+        table = bytearray(fresh)
+        population = [_LabeledFacts(7, mask, table) for mask in masks]
+        assert self.before_and_after(population, fresh, verdicts) > 0
 
 
 class TestLabeledMinimalCovered:
