@@ -7,12 +7,14 @@ hypothesis class, and tallies passes and failures.  A population yields
 one facts object per graph, from one of three routes that supply only ν,
 the allowed edges, "matching covered" and the G - e deletion test: the
 fast route (random and ingested graphs), the oracle route (re-verification)
-and, for labeled graphs, a per-chunk table of ν per edge mask read over the
-mask's set bits, with no blossom search and no ``Graph``.  Every chunk of
+and, for labeled graphs, a per-chunk table of ν and the "matching covered"
+verdict per edge mask, built by int lane arithmetic and checked against a
+second recurrence, with no blossom search and no ``Graph``.  Every chunk of
 work returns one keyed ``Counter`` tally, and one merge sums them.
 The first counterexample is minimal under ``(n, graph6)`` ordering no matter
 how the work is scheduled, and any failure detected by the fast predicates
-is re-verified against the enumeration oracle before it is reported.
+is re-verified against the enumeration oracle before it is reported.  An
+error that stops a sweep is the one a serial run raises, at any worker count.
 
 Properties:
 
@@ -210,29 +212,176 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# The fields of a ν-table byte (see _nu_table): ν <= 4 for n <= MAX_EXHAUSTIVE_N.
-_NU, _DECIDED, _COVERED = 0x0F, 0x10, 0x20
+# Bit 5 of a ν-table byte: the mask's graph is matching covered (see _nu_table).
+_COVERED = 0x20
+# Masks per block of the table build's lane arithmetic: each step packs at
+# most this many one-byte lanes into one int.
+_BLOCK = 1 << 16
 
 
 def _nu_table(n: int, stop: int) -> bytearray:
     """The matching number of every labeled graph on ``n`` vertices with edge
-    mask below ``stop``, one byte per mask.
+    mask below ``stop``, one byte per mask, and its "matching covered" verdict.
 
-    ν is bits 0-3 of a mask's byte.  Bits 4 and 5 are built clear and belong
-    to :meth:`_LabeledFacts._covered_mask`, the only writer after this
-    function: bit 4 once the mask's covered verdict is decided, bit 5 when
-    that verdict is "covered".  Read ν as ``byte & _NU``.
+    ν is bits 0-3 of a mask's byte (ν <= 4 for n <= MAX_EXHAUSTIVE_N), read
+    as ``byte & 0x0F``.  Bit 5 (``_COVERED``) is set when the mask's graph is
+    matching covered; it is written once, here, and the table is not written
+    after this function returns.  Bit 4 is free.
 
-    A maximum matching of mask m either avoids m's top pair, bit t, or takes
-    it with pairs that share no endpoint with it:
-    ``nu[m] = max(nu[m - t], 1 + nu[m & keep[t]])``, both below m.
+    The build is three steps, each on blocks of the table's bytes packed as
+    the lanes of one int (SIMD within a register: Fisher & Dietz, LCPC
+    1998): :func:`_fill_nu`, :func:`_check_nu`, which raises
+    :class:`RouteDisagreementError` on any entry the fill got wrong, and
+    :func:`_mark_covered`.
+    """
+    nu = _fill_nu(n, stop)
+    _check_nu(n, nu)
+    _mark_covered(n, nu)
+    return nu
+
+
+def _byte_lanes(pattern: bytes, size: int) -> int:
+    # pattern repeated over size byte lanes, as one int; len(pattern) divides size.
+    return int.from_bytes(pattern * (size // len(pattern)), "little")
+
+
+def _gather(nu: bytearray, base: int, size: int, keep: int) -> bytes | bytearray:
+    """``nu[base + (r & keep)]`` for each r below ``size``, a power of two;
+    ``base`` has no bit below ``size``.
+
+    From the top bit of r down: a run of bits outside ``keep`` repeats the
+    lanes below it, a run inside splits them into one part per value of the
+    run, and low bits all inside ``keep`` are one slice.  A slice past the
+    end of ``nu`` comes back short; that shifts only lanes above it, which
+    belong to masks past the end too.
+    """
+    if not ~keep & (size - 1):
+        return nu[base:base + size]
+    part = size >> 1
+    if keep & part:
+        while keep & part >> 1:
+            part >>= 1
+        return b"".join([_gather(nu, base + i, part, keep) for i in range(0, size, part)])
+    while part > 1 and not keep & part >> 1:
+        part >>= 1
+    return _gather(nu, base, part, keep) * (size // part)
+
+
+def _equal_lanes(x: int, y: int, high: int) -> int:
+    # 1 in each byte lane where x equals y, else 0, for lanes with
+    # x <= y < 0x80; high holds 0x80 in every lane.  0x80 + x - y borrows
+    # from no other lane, and keeps bit 7 exactly when x == y.
+    return ((x + high - y) & high) >> 7
+
+
+def _fill_nu(n: int, stop: int) -> bytearray:
+    """ν of every mask below ``stop``, by the top-pair identity.
+
+    A maximum matching of top + r, with top the mask's top pair bit and
+    r below it, either avoids that pair or takes it with a matching of
+    ``r & keep[top]``, the pairs sharing no endpoint with it; as
+    ``nu[r & keep] <= nu[r]``, ``nu[top + r] = nu[r] + [nu[r & keep] == nu[r]]``.
+    Each block of r below top is a few int operations on its lanes.
     """
     nu = bytearray(stop)
     for top, keep in _pair_masks(n)[1].items():
-        for m in range(top, min(2 * top, stop)):
-            avoid, take = nu[m - top], nu[m & keep] + 1
-            nu[m] = avoid if avoid > take else take
+        if top >= stop:
+            break
+        size = min(top, _BLOCK)
+        high = _byte_lanes(b"\x80", size)
+        for lo in range(0, min(top, stop - top), size):
+            old = int.from_bytes(nu[lo:lo + size], "little")
+            taken = int.from_bytes(_gather(nu, lo & keep, size, keep), "little")
+            new = old + _equal_lanes(taken, old, high)
+            end = min(top + lo + size, stop)
+            nu[top + lo:end] = new.to_bytes(size, "little")[:end - top - lo]
     return nu
+
+
+def _low_halves(half: int, size: int) -> int:
+    # 0xFF in each of the size byte lanes whose index has bit half clear.
+    return int.from_bytes((b"\xff" * half + bytes(half)) * (size // (2 * half)), "little")
+
+
+@cache
+def _max_of_nibbles() -> bytes:
+    # A translation of each byte a * 16 + c of two ν values to max(a, c + 1).
+    return bytes(max(b >> 4, (b & 0x0F) + 1) for b in range(256))
+
+
+def _check_nu(n: int, nu: bytearray) -> None:
+    """Raise :class:`RouteDisagreementError`, naming ``n`` and the lowest
+    mask it fails at, unless every entry of ``nu`` (bare ν, as
+    :func:`_fill_nu` leaves it) obeys the lowest-pair recurrence
+    ``nu[m] = max(nu[m - low], 1 + nu[m & keep[low]])`` and mask 0 holds 0.
+
+    The test at m reads only masks below m, so a single wrong entry always
+    fails its own test.  It shares no code with the fill but
+    :func:`_pair_masks`: the masks whose lowest pair is ``low`` are
+    ``low + q * step`` with ``step = 2 * low``, one strided slice of the
+    table, and ``(q * step) & keep`` is q with its bits in ``drop`` cleared,
+    times ``step``.
+    """
+    stop = len(nu)
+    worst = 0 if any(nu[:1]) else stop  # mask 0 has no lowest pair
+    translate = _max_of_nibbles()
+    low_halves = cache(_low_halves)  # this build's lane masks
+    for low, keep in _pair_masks(n)[1].items():
+        step = low << 1
+        drop = ~keep // step
+        count = -(-(stop - low) // step)
+        size = min(_BLOCK, 1 << max(count - 1, 0).bit_length())
+        for q in range(0, count, size):
+            source = q & ~drop
+            rest = int.from_bytes(nu[source * step:(source + size) * step:step], "little")
+            half = 1
+            while half < size:
+                if drop & half:
+                    rest &= low_halves(half, size)
+                    rest |= rest << 8 * half
+                half <<= 1
+            without = int.from_bytes(nu[q * step:(q + size) * step:step], "little")
+            expected = (without << 4 | rest).to_bytes(size, "little").translate(translate)
+            entries = nu[low + q * step:(q + size) * step:step]
+            if expected[:len(entries)] != entries:
+                wrong = next(i for i, byte in enumerate(entries) if byte != expected[i])
+                worst = min(worst, low + (q + wrong) * step)
+                break
+    if worst < stop:
+        raise RouteDisagreementError(
+            f"the nu table on {n} vertices breaks the lowest-pair recurrence "
+            f"at mask {worst}"
+        )
+
+
+def _mark_covered(n: int, nu: bytearray) -> None:
+    """Set bit 5 of every mask of ``nu`` whose graph is matching covered.
+
+    The pair of bit b in m is allowed iff ``nu[m & keep[b]] == nu[m] - 1``;
+    as the checked table has ``nu[m & keep[b]] <= nu[m] - 1``, lane
+    ``0x7E + nu[m] - nu[m & keep[b]]`` keeps bit 7 exactly when the pair is
+    not allowed, and borrows from no other lane.  A block of masks is one
+    lane pass per pair.  Blocks run from the top down, so every read below
+    a block still sees bare ν.
+    """
+    stop = len(nu)
+    size = min(_BLOCK, 1 << max(stop - 1, 0).bit_length())
+    high, margins = _byte_lanes(b"\x80", size), _byte_lanes(b"\x7e", size)
+    # Per pair, 0x80 in each lane of a block whose mask holds the pair: the
+    # lanes whose index has its bit or, for a bit at or above the block size,
+    # every lane of a block whose base has it.
+    pairs = [(bit, keep, _byte_lanes(bytes(bit) + b"\x80" * bit, size) if bit < size else high)
+             for bit, keep in _pair_masks(n)[1].items()]
+    for lo in reversed(range(0, stop, size)):
+        nus = int.from_bytes(nu[lo:lo + size], "little")
+        margin = nus + margins
+        refuted = 0
+        for bit, keep, held in pairs:
+            if bit < size or lo & bit:
+                less = int.from_bytes(_gather(nu, lo & keep, size, keep), "little")
+                refuted |= (margin - less) & held
+        end = min(lo + size, stop)
+        nu[lo:end] = (nus | (high ^ refuted) >> 2).to_bytes(size, "little")[:end - lo]
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
@@ -382,32 +531,16 @@ class _OracleFacts(_Facts):
         return (_OracleFacts(delete_edge(self.g, e)).covered for e in self.g.edges)
 
 
-def _covered_walk(table: bytearray, keep: dict[int, int], mask: int) -> int:
-    # The verdict bits of mask by the nu-difference test over its set bits:
-    # the pair of bit b is allowed iff nu[mask & keep[b]] == nu[mask] - 1.
-    # The labeled sweep's hot loop, so _set_bits is written out inline.
-    less = (table[mask] & _NU) - 1
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if table[mask & keep[low]] & _NU != less:
-            return _DECIDED
-        rest ^= low
-    return _DECIDED | _COVERED
-
-
 class _LabeledFacts(_Facts):
     """The labeled graph on ``n`` vertices with edge mask ``mask``, read off
     ``table``, the chunk's :func:`_nu_table` for this n.
 
-    ``covered`` is the nu-difference test over the mask's set bits, and
-    ``deletions()`` runs it for each G - e at ``mask ^ b``, with no ``Graph``.
-    ``_covered_mask`` stores each verdict in bits 4 and 5 of that mask's
-    table byte (ν keeps bits 0-3), so the chunk walks a mask at most once and
-    later reads, by ``covered`` or by another graph's ``deletions()``, take
-    the stored verdict.  ``no_isolated`` is read from the vertices' pair
-    masks when the object is made.  ``g`` is built only when a check reads
-    it; ``nu`` and ``allowed`` stay the fast route's, which ``oracle-nu`` and
+    ``covered`` reads bit 5 of the mask's table byte, which the table build
+    sets for every matching covered mask, and ``deletions()`` reads it for
+    each G - e at ``mask ^ b``, with no ``Graph``; ν is bits 0-3 and bit 4 is
+    free.  ``no_isolated`` is read from the vertices' pair masks when the
+    object is made.  ``g`` is built only when a check reads it; ``nu`` and
+    ``allowed`` stay the fast route's, which ``oracle-nu`` and
     ``oracle-allowed`` check.
     """
 
@@ -421,21 +554,13 @@ class _LabeledFacts(_Facts):
     def g(self) -> Graph:
         return _graph_from_mask(self.n, self.mask)
 
-    def _covered_mask(self, mask: int) -> bool:
-        table = self.table
-        byte = table[mask]
-        if byte < _DECIDED:
-            byte |= _covered_walk(table, _pair_masks(self.n)[1], mask)
-            table[mask] = byte
-        return byte >= _COVERED
-
     @_fact
     def covered(self) -> bool:
-        return self._covered_mask(self.mask)
+        return self.table[self.mask] >= _COVERED
 
     def deletions(self) -> Iterator[bool]:
-        mask = self.mask
-        return (self._covered_mask(mask ^ b) for b in _set_bits(mask))
+        table, mask = self.table, self.mask
+        return (table[mask ^ b] >= _COVERED for b in _set_bits(mask))
 
 
 def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
@@ -688,6 +813,29 @@ def _sweep_chunk(
     return _tally_graphs(population, properties)
 
 
+class _ChunkFailure:
+    # What a worker's chunk raised, with the worker's traceback as text.
+    def __init__(self, error: Exception, trace: str):
+        self.error, self.trace = error, trace
+
+
+def _chunk_outcome(
+    args: tuple[SweepConfig | None, Sequence, tuple[str, ...]]
+) -> _Tally | _ChunkFailure:
+    """:func:`_sweep_chunk` in a worker, with a failure returned, not raised.
+
+    ``Pool.map`` raises the first failure to arrive, which need not be the
+    lowest chunk's; returned, every chunk's outcome reaches the parent in
+    chunk order, and the parent raises the one a serial run meets first.
+    """
+    try:
+        return _sweep_chunk(args)
+    except Exception as exc:
+        import traceback  # only on this path, to keep start-up light
+
+        return _ChunkFailure(exc, traceback.format_exc())
+
+
 def Pool(processes: int):
     """A ``multiprocessing.Pool``, imported when a parallel sweep starts one.
 
@@ -725,7 +873,12 @@ def _sweep(
         step = -(-total // min(total, jobs * 4))  # at most 4 chunks per worker
         chunks = [(cfg, items[lo:lo + step], properties) for lo in range(0, total, step)]
         with Pool(processes=jobs) as pool:
-            parts = pool.map(_sweep_chunk, chunks)
+            parts = pool.map(_chunk_outcome, chunks)
+        for part in parts:  # in chunk order: the failure a serial run meets first
+            if isinstance(part, _ChunkFailure):
+                from multiprocessing.pool import RemoteTraceback
+
+                raise part.error from RemoteTraceback(part.trace)
     counts, best = _merge_tallies(parts)
     return SweepReport(
         population=counts["population"],

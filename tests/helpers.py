@@ -3,6 +3,10 @@
 from matchcover import Edge, Graph, cover, matching, sweep
 
 
+# The ν field of a labeled ν-table byte (bits 0-3); bit 5 is sweep._COVERED.
+NU = 0x0F
+
+
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -167,19 +171,18 @@ def count_kernel_searches(monkeypatch) -> list[int]:
     return roots
 
 
-def count_covered_walks(monkeypatch) -> list[tuple[bytearray, int]]:
-    """Record ``(table, mask)`` for every walk of a mask's set bits that the
-    labeled facts run (``sweep._covered_walk``) from now on; each table is
-    kept, so ``id(table)`` names one chunk's table."""
-    walks: list[tuple[bytearray, int]] = []
-    original = sweep._covered_walk
+def count_table_builds(monkeypatch) -> list[tuple[int, int, bytearray]]:
+    """Record ``(n, stop, table)`` for every labeled ν table the sweep builds
+    (``sweep._nu_table``) from now on."""
+    builds: list[tuple[int, int, bytearray]] = []
+    original = sweep._nu_table
 
-    def counting(table, keep, mask):
-        walks.append((table, mask))
-        return original(table, keep, mask)
+    def counting(n, stop):
+        builds.append((n, stop, original(n, stop)))
+        return builds[-1][2]
 
-    monkeypatch.setattr(sweep, "_covered_walk", counting)
-    return walks
+    monkeypatch.setattr(sweep, "_nu_table", counting)
+    return builds
 
 
 class SerialPool:
@@ -197,6 +200,56 @@ class SerialPool:
 
     def map(self, func, items):
         return [func(item) for item in items]
+
+
+class ReversedPool(SerialPool):
+    """A ``SerialPool`` whose chunks finish last first, as when a later chunk
+    is quicker.  ``map`` runs every chunk, then raises the first failure to
+    finish, as ``multiprocessing.Pool.map`` does, or returns the results in
+    chunk order."""
+
+    def map(self, func, items):
+        results = {}
+        failures = []
+        for index, item in reversed(list(enumerate(items))):
+            try:
+                results[index] = func(item)
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return [results[index] for index in sorted(results)]
+
+
+def loop_nu_table(n: int, stop: int) -> bytearray:
+    """ν of every labeled graph on ``n`` vertices with edge mask below
+    ``stop``, one byte per mask, by the top-pair recurrence in a loop.
+
+    A maximum matching of mask m either avoids m's top pair, bit t, or takes
+    it with pairs that share no endpoint with it:
+    ``nu[m] = max(nu[m - t], 1 + nu[m & keep[t]])``, both below m.
+    """
+    nu = bytearray(stop)
+    for top, keep in sweep._pair_masks(n)[1].items():
+        for m in range(top, min(2 * top, stop)):
+            avoid, take = nu[m - top], nu[m & keep] + 1
+            nu[m] = avoid if avoid > take else take
+    return nu
+
+
+def covered_walk(table, n: int, mask: int) -> bool:
+    """Whether mask's graph is matching covered, by the nu-difference test
+    over its set bits on ``table``'s ν nibbles: the pair of bit b is allowed
+    iff ``nu[mask & keep[b]] == nu[mask] - 1``."""
+    keep = sweep._pair_masks(n)[1]
+    less = (table[mask] & NU) - 1
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if table[mask & keep[low]] & NU != less:
+            return False
+        rest ^= low
+    return True
 
 
 def lex_pairs(n: int) -> list[Edge]:

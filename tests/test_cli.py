@@ -284,6 +284,17 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert cli.build_parser().parse_args(["sweep", "--exhaustive"]).jobs == jobs
 
+    def test_guard_error_is_the_same_at_every_jobs(self, capsys):
+        # Sample 1 (36 edges) is the first graph whose lemma1 check exceeds
+        # the oracle's guard; at two jobs the second chunk opens with sample
+        # 25, LFhS]AknfC?D~R (37 edges), and may fail first.
+        argv = ["sweep", "--random", "--n", "13", "--p", "0.4", "--samples", "200",
+                "--seed", "1", "--properties", "lemma1", "--jobs"]
+        runs = {jobs: run_cli(capsys, argv + [jobs]) for jobs in ("1", "2", "4")}
+        assert runs["1"] == (2, "", "error: lemma1 on LBFMadtwq_Pt[X: exhaustive search "
+                                    "limited to 32 edges, graph has 36\n")
+        assert runs["2"] == runs["4"] == runs["1"]
+
     def test_exhaustive_theorem(self, capsys):
         code, out, _ = run_cli(
             capsys,

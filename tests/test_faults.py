@@ -6,10 +6,15 @@ sweeps the labeled graphs with n <= 5 and a seeded random sample with
 payload as failures of the expected property and as its first
 counterexample; the exit code such a sweep should have is not decided here.
 
-Each row of ``LABELED_FAULTS`` plants a fault in the labeled route's ν
-table, which only ``theorem`` reads.  It is caught when the oracle
+Each row of ``LABELED_FAULTS`` plants a fault in the labeled route's built
+ν table, which only ``theorem`` reads.  It is caught when the oracle
 re-verification of the false failure disagrees: the sweep raises
 ``RouteDisagreementError`` and the CLI exits 3.
+
+Faults planted in the table's fill, in its output (every single-entry
+ν ± 1 at n = 4) or in the helpers it runs, are caught before the table is
+read: the build's own check raises ``RouteDisagreementError`` naming n and
+the lowest mask that breaks the lowest-pair recurrence.
 """
 
 import multiprocessing
@@ -17,6 +22,7 @@ from unittest import mock
 
 import pytest
 
+from helpers import loop_nu_table
 from matchcover import cli, matching, sweep
 from matchcover.sweep import (
     EXHAUSTIVE_MODE,
@@ -129,9 +135,9 @@ def three_paths_read_nu_0():
 
 
 def three_paths_decided_not_covered():
-    # The verdict bits say "decided" and not "covered"; ν is left right.
+    # Bit 5 says "not covered"; ν is left right.
     def mark(table, mask):
-        table[mask] |= sweep._DECIDED
+        table[mask] &= ~sweep._COVERED
 
     return on_the_three_paths(mark)
 
@@ -214,3 +220,87 @@ def test_cli_exits_3_on_the_planted_table(name, jobs, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert "RouteDisagreementError" in err and "graph Bw" in err
+
+
+def plant_in_the_fill(n, mask, delta):
+    # The fill's ν at mask on n vertices moved by delta, floored at 0.
+    fill = sweep._fill_nu
+
+    def planted(size, stop):
+        nu = fill(size, stop)
+        if size == n and mask < stop:
+            nu[mask] = max(nu[mask] + delta, 0)
+        return nu
+
+    return mock.patch.object(sweep, "_fill_nu", planted)
+
+
+# Every distinct single-entry ν ± 1 plant at n = 4: ν - 1 at mask 0 is no change.
+NU_PLANTS = [(mask, delta) for mask in range(64) for delta in (1, -1)
+             if (mask, delta) != (0, -1)]
+
+
+def test_the_table_check_catches_every_n4_nu_plant():
+    assert len(NU_PLANTS) == 127
+    for mask, delta in NU_PLANTS:
+        # The check at mask reads only masks below it, so it fails there first.
+        with plant_in_the_fill(4, mask, delta), pytest.raises(
+                RouteDisagreementError, match=f"on 4 vertices .* at mask {mask}$"):
+            sweep._nu_table(4, 64)
+
+
+@JOBS
+@pytest.mark.parametrize("mask,delta", [(1, -1), (7, 1), (40, -1), (63, 1)])
+def test_cli_exits_3_on_a_nu_plant(mask, delta, jobs, capsys):
+    skip_unless_forked(jobs)
+    argv = ["sweep", "--exhaustive", "--max-n", "4", "--properties", "theorem",
+            "--jobs", str(jobs)]
+    with plant_in_the_fill(4, mask, delta):
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "RouteDisagreementError" in err and "on 4 vertices" in err
+    assert f"at mask {mask}\n" in err
+
+
+def gather_ignores_its_top_keep_bit():
+    gather = sweep._gather
+
+    def faulty(nu, base, size, keep):
+        inside = keep & (size - 1)
+        top = 1 << inside.bit_length() >> 1
+        return gather(nu, base, size, keep & ~top)
+
+    return mock.patch.object(sweep, "_gather", faulty)
+
+
+def equal_lanes_never_equal():
+    return mock.patch.object(sweep, "_equal_lanes", lambda x, y, high: 0)
+
+
+# Faults in the helpers of the fill; the check shares none of them.
+FILL_FAULTS = {
+    "gather-ignores-its-top-keep-bit": gather_ignores_its_top_keep_bit,
+    "equal-lanes-never-equal": equal_lanes_never_equal,
+}
+
+
+@pytest.mark.parametrize("name", FILL_FAULTS)
+def test_a_fill_helper_fault_changes_the_fill(name):
+    with FILL_FAULTS[name]():
+        for n in (4, 5, 6):
+            stop = 1 << (n * (n - 1) // 2)
+            assert sweep._fill_nu(n, stop) != loop_nu_table(n, stop), n
+
+
+@JOBS
+@pytest.mark.parametrize("name", FILL_FAULTS)
+def test_cli_exits_3_on_a_fill_helper_fault(name, jobs, capsys):
+    skip_unless_forked(jobs)
+    argv = ["sweep", "--exhaustive", "--max-n", "6", "--properties", "theorem",
+            "--jobs", str(jobs)]
+    with FILL_FAULTS[name]():
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "RouteDisagreementError" in err and "breaks the lowest-pair recurrence" in err

@@ -38,16 +38,12 @@ from matchcover.sweep import (
     StreamParseError,
     _Facts,
     _COVERED,
-    _DECIDED,
-    _NU,
     _LabeledFacts,
-    _covered_walk,
     _labeled_facts,
     _merge_tallies,
     _nu_table,
     _OracleFacts,
     _fact,
-    _pair_masks,
     _splitmix64_lanes,
     _sweep_chunk,
     _tally_graphs,
@@ -56,16 +52,20 @@ from matchcover.sweep import (
 from helpers import (
     C4,
     K4,
+    NU,
+    ReversedPool,
     SerialPool,
     count_blossom_passes,
     count_builds,
-    count_covered_walks,
     count_deletion_kernel_runs,
     count_edge_deletions,
     count_kernel_searches,
     count_scans,
+    count_table_builds,
+    covered_walk,
     labeled_graph,
     lex_pairs,
+    loop_nu_table,
 )
 
 
@@ -537,6 +537,48 @@ class TestCounterexampleReporting:
         assert best == (2, "A_", "theorem")
 
 
+class TestErrorsDoNotDependOnJobs:
+    # A blossom pass that frees vertex 0's pair on every 6-vertex graph makes
+    # in-class graphs in several chunks read as failures that the oracle
+    # re-verification rejects.  Chunks that finish last first must still
+    # report the serial run's graph.
+    CFG = dict(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=6)
+
+    @staticmethod
+    def plant(monkeypatch):
+        from matchcover import sweep as sweep_mod
+
+        mates = sweep_mod._max_matching_mates
+
+        def faulty(n, adj):
+            mate = mates(n, adj)
+            if n == 6 and mate[0] >= 0:
+                mate[mate[0]] = mate[0] = -1
+            return mate
+
+        monkeypatch.setattr(sweep_mod, "_max_matching_mates", faulty)
+
+    def disagreement(self, jobs) -> str:
+        with pytest.raises(RouteDisagreementError) as caught:
+            run_sweep(SweepConfig(jobs=jobs, **self.CFG))
+        return str(caught.value)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_a_fault_in_two_chunks_names_the_serial_graph(self, monkeypatch, jobs):
+        from matchcover import sweep as sweep_mod
+
+        self.plant(monkeypatch)
+        serial = self.disagreement(1)
+        assert serial.endswith("graph EBj?")
+        monkeypatch.setattr(sweep_mod, "Pool", ReversedPool)
+        assert self.disagreement(jobs) == serial
+
+        # Chunks that raise in the workers leave the choice to the pool,
+        # which names the failure that finishes first: a later chunk's graph.
+        monkeypatch.setattr(sweep_mod, "_chunk_outcome", sweep_mod._sweep_chunk)
+        assert self.disagreement(jobs) != serial
+
+
 class TestOneBuildPerGraph:
     # The n <= 5 theorem sweep reads no_isolated, covered and minimal_covered,
     # every G - e included, off the chunk's nu table.  It builds a Graph only
@@ -659,28 +701,44 @@ class TestKernelSearches:
         assert counts == [95149, 15041]
 
 
-class TestCoveredWalks:
-    # The labeled route walks a mask's set bits at most once per chunk: the
-    # 28,264 n <= 6 masks without an isolated vertex, and 819 more in the
-    # deletion loop of the 5,329 covered ones (41,681 without the stored
-    # verdicts).
+class TestTableBuilds:
+    # The labeled route builds one ν table per n per chunk, from mask 0 to the
+    # chunk's stop in that n, and reads every covered verdict off it.
     CFG = dict(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=6)
+    SIZES = [(n, 1 << (n * (n - 1) // 2)) for n in range(7)]  # 33,868 masks
 
-    def test_serial_theorem_sweep_walks_29083_masks(self, monkeypatch):
-        walks = count_covered_walks(monkeypatch)
+    @classmethod
+    def expected(cls, jobs):
+        # The sweep's chunking: at most 4 chunks per worker over all 33,868
+        # graphs; per chunk, (n, stop) for each n it reaches.
+        if jobs == 1:
+            return cls.SIZES
+        total = sum(count for _, count in cls.SIZES)
+        step = -(-total // (jobs * 4))
+        builds = []
+        for lo in range(0, total, step):
+            offset = 0
+            for n, count in cls.SIZES:
+                if lo < offset + count and offset < lo + step:
+                    builds.append((n, min(lo + step - offset, count)))
+                offset += count
+        return builds
+
+    def test_serial_theorem_sweep_builds_one_table_per_n(self, monkeypatch):
+        builds = count_table_builds(monkeypatch)
         report = run_sweep(SweepConfig(**self.CFG))
         assert report.in_class == {"theorem": 349}
-        assert len(walks) == 29083
+        assert [(n, stop) for n, stop, _ in builds] == self.SIZES
 
     @pytest.mark.parametrize("jobs", [1, 2, 4, 8])
-    def test_no_chunk_walks_a_mask_twice(self, monkeypatch, jobs):
+    def test_each_chunk_builds_one_table_per_n(self, monkeypatch, jobs):
         from matchcover import sweep as sweep_mod
 
         monkeypatch.setattr(sweep_mod, "Pool", SerialPool)
-        walks = count_covered_walks(monkeypatch)
+        builds = count_table_builds(monkeypatch)
         report = run_sweep(SweepConfig(jobs=jobs, **self.CFG))
         assert report.in_class == {"theorem": 349}
-        assert len({(id(table), mask) for table, mask in walks}) == len(walks) >= 29083
+        assert [(n, stop) for n, stop, _ in builds] == self.expected(jobs)
 
 
 class TestOracleChecksCatchTheFastRoute:
@@ -738,7 +796,7 @@ class TestNuTable:
                 facts = _LabeledFacts(n, mask, table)
                 g = facts.g
                 ms = enumerate_maximum_matchings(g)
-                assert table[mask] == matching_number(g) == ms.nu, to_graph6(g)
+                assert table[mask] & NU == matching_number(g) == ms.nu, to_graph6(g)
                 covered = is_matching_covered(g)
                 assert facts.covered == covered == (ms.allowed == g.edges), to_graph6(g)
                 assert facts.no_isolated == (not isolated_vertices(g))
@@ -753,89 +811,86 @@ class TestNuTable:
             mask = rng.next_uint64() >> 43  # 21 bits: one coin per vertex pair
             facts = _LabeledFacts(7, mask, table)
             g = facts.g
-            # An earlier mask's deletion loop may have stored this mask's verdict.
-            assert table[mask] & _NU == matching_number(g), to_graph6(g)
+            assert table[mask] & NU == matching_number(g), to_graph6(g)
             assert facts.covered == is_matching_covered(g), to_graph6(g)
             for e in g.edges:
                 expected = is_matching_covered(delete_edge(g, e))
-                assert facts._covered_mask(mask ^ bits[e]) == expected, (to_graph6(g), e)
+                assert bool(table[mask ^ bits[e]] & _COVERED) == expected, (to_graph6(g), e)
 
     @pytest.mark.parametrize("stop", [1, 2, 3, 1000, 1 << 14, (1 << 15) - 1])
     def test_a_chunk_table_is_a_prefix_of_the_whole_table(self, stop):
         assert _nu_table(6, stop) == _nu_table(6, 1 << 15)[:stop]
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_nu_nibbles_equal_the_loop_fill(self, n):
+        # n = 7 spans 32 lane blocks of the build; stop 1 << 20 cuts it at a
+        # block boundary and 1,234,567 inside a block.
+        stop = 1 << (n * (n - 1) // 2)
+        whole = loop_nu_table(n, stop)
+        nibbles = bytes(b & NU for b in range(256))
+        assert _nu_table(n, stop).translate(nibbles) == whole
+        for cut in {stop // 2, stop - 1, 1_234_567 % stop}:
+            assert _nu_table(n, cut).translate(nibbles) == whole[:cut]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4, 8])
+    def test_every_chunk_table_is_a_prefix_of_the_whole_table(self, monkeypatch, jobs):
+        from matchcover import sweep as sweep_mod
+
+        whole = {n: _nu_table(n, 1 << (n * (n - 1) // 2)) for n in range(7)}
+        monkeypatch.setattr(sweep_mod, "Pool", SerialPool)
+        built = count_table_builds(monkeypatch)
+        run_sweep(SweepConfig(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=6, jobs=jobs))
+        assert [(n, stop) for n, stop, _ in built] == TestTableBuilds.expected(jobs)
+        for n, stop, table in built:
+            assert table == whole[n][:stop], (n, stop)
+
 
 class TestStoredVerdicts:
-    # _covered_mask stores each mask's verdict in bits 4 (decided) and 5
-    # (covered) of its table byte; the sweep then reads it instead of walking.
+    # The build stores each mask's verdict, setting bit 5 of each matching
+    # covered mask's byte and leaving bit 4 clear; the sweep only reads it.
     THEOREM = ("theorem",)
-    NIBBLE = bytes(b & _NU for b in range(256))
 
     @staticmethod
-    def expected(n, stop, masks):
-        # A fresh table, and per mask a fresh walk on it, checked against the
-        # blossom route on a graph built by testing every pair.
-        fresh, keep = _nu_table(n, stop), _pair_masks(n)[1]
-        verdicts = {}
+    def assert_bits(n, table, masks) -> int:
+        # Bit 5 is the walk's verdict on the table's ν and the blossom route's
+        # on a graph built by testing every pair; returns how many are covered.
+        found = 0
         for mask in masks:
-            walked = _covered_walk(fresh, keep, mask)
-            assert walked & _DECIDED
-            verdicts[mask] = bool(walked & _COVERED)
-            assert verdicts[mask] == is_matching_covered(labeled_graph(n, mask)), (n, mask)
-        assert max(fresh, default=0) < _DECIDED  # the walks wrote nothing
-        return bytes(fresh), verdicts
+            covered = covered_walk(table, n, mask)
+            assert covered == is_matching_covered(labeled_graph(n, mask)), (n, mask)
+            assert table[mask] & ~NU == (_COVERED if covered else 0), (n, mask)
+            found += covered
+        return found
 
-    def assert_stored(self, table, fresh, verdicts, every) -> int:
-        # Each decided mask holds its expected verdict, every mask is decided
-        # if every is set, and every ν nibble is the fresh table's; returns
-        # how many of the masks are decided.
-        decided = 0
-        for mask, covered in verdicts.items():
-            byte = table[mask]
-            if byte & _DECIDED:
-                decided += 1
-                assert bool(byte & _COVERED) == covered, mask
-            else:
-                assert not every and byte == fresh[mask], mask
-        assert table.translate(self.NIBBLE) == fresh
-        return decided
-
-    def before_and_after(self, population, fresh, verdicts) -> int:
-        # The population's chunk swept first, then read; then a second copy
-        # read first, then swept: the same verdicts and the same tally.
-        masks = [facts.mask for facts in population]
+    def assert_swept_unchanged(self, population) -> None:
+        # Sweeping reads each verdict and writes nothing, and fresh facts on
+        # the same table, read last first, give the same tally.
         table = population[0].table
+        built = bytes(table)
         tally = _tally_graphs(population, self.THEOREM)
-        decided = self.assert_stored(table, fresh, verdicts, every=False)
-        assert [facts.covered for facts in population] == list(verdicts.values())
-        self.assert_stored(table, fresh, verdicts, every=True)
-
-        table = bytearray(fresh)
-        population = [_LabeledFacts(population[0].n, mask, table) for mask in masks]
-        assert [facts.covered for facts in population] == list(verdicts.values())
-        self.assert_stored(table, fresh, verdicts, every=True)
-        assert _tally_graphs(population, self.THEOREM) == tally
-        self.assert_stored(table, fresh, verdicts, every=True)
-        return decided
+        assert table == built
+        assert [facts.covered for facts in population] == [
+            bool(built[facts.mask] & _COVERED) for facts in population]
+        n = population[0].n
+        again = [_LabeledFacts(n, facts.mask, table) for facts in reversed(population)]
+        assert _tally_graphs(again, self.THEOREM) == tally
+        assert table == built
 
     def test_every_mask_up_to_n6_before_and_after_its_chunk_is_swept(self):
-        decided = 0
+        found = Counter()
         for n in range(7):
-            masks = range(1 << (n * (n - 1) // 2))
-            fresh, verdicts = self.expected(n, masks.stop, masks)
-            decided += self.before_and_after(list(_labeled_facts(n, masks)), fresh, verdicts)
-        # The sweep decides the 28,264 masks without an isolated vertex and
-        # 819 more in the deletion loop of the covered ones.
-        assert decided == 28264 + 819
+            population = list(_labeled_facts(n, range(1 << (n * (n - 1) // 2))))
+            found[n] = self.assert_bits(n, population[0].table, range(len(population)))
+            self.assert_swept_unchanged(population)
+        assert found == {0: 1, 1: 1, 2: 2, 3: 8, 4: 34, 5: 654, 6: 8313}
 
     def test_seeded_n7_masks_before_and_after_they_are_swept(self):
         # The masks of TestNuTable's n = 7 check, as the facts of one chunk.
         rng = SplitMix64(11)
-        masks = list(dict.fromkeys(rng.next_uint64() >> 43 for _ in range(2000)))
-        fresh, verdicts = self.expected(7, 1 << 21, masks)
-        table = bytearray(fresh)
-        population = [_LabeledFacts(7, mask, table) for mask in masks]
-        assert self.before_and_after(population, fresh, verdicts) > 0
+        masks = [rng.next_uint64() >> 43 for _ in range(2000)]
+        table = _nu_table(7, 1 << 21)
+        assert self.assert_bits(7, table, masks) == 1381
+        self.assert_swept_unchanged([_LabeledFacts(7, mask, table) for mask in masks])
 
 
 class TestLabeledMinimalCovered:
@@ -915,7 +970,7 @@ class TestLazyFacts:
         own = {cls: {name for name in vars(cls) if not name.startswith("__")}
                for cls in (_OracleFacts, _LabeledFacts)}
         assert own[_OracleFacts] == route
-        assert own[_LabeledFacts] <= route | {"g", "no_isolated", "_covered_mask"}
+        assert own[_LabeledFacts] <= route | {"g", "no_isolated"}
         for name in ("minimal_covered", "perfect", "missed", "keys"):
             homes = [cls for cls in (_Facts, _OracleFacts, _LabeledFacts) if name in vars(cls)]
             assert homes == [_Facts], name
