@@ -9,10 +9,19 @@ Two routes compute allowed-ness and are kept deliberately independent:
 
 * the fast path decides every edge from one blossom maximum matching plus at
   most two single-root augmenting searches per edge, one when that matching
-  is perfect (see :func:`matching.allowed_verdicts`), which scales past the
+  is perfect (see :func:`matching._allowed_verdicts`), which scales past the
   enumeration guard;
 * the oracle path reads them off one enumeration of all maximum matchings
   (:attr:`matching.MatchingSet.allowed`, their union).
+
+This module owns the per-graph facts of both routes: :class:`_Facts` (the
+fast route) and :class:`_OracleFacts` (enumeration only).  The predicates,
+:func:`analyze` and the witnesses read one ``_Facts`` per graph, as the
+sweep's checks do, so ν, the allowed edges, "matching covered", the G - e
+loop, "minimal matching covered" and "has a perfect matching" are each
+defined once.  Only :func:`is_allowed` (one edge) and
+:func:`minimize_with_trace` (which keeps each rejection's proof) run the
+kernel themselves.
 
 The witness operations replay the constructive arguments behind the covered
 predicates: a maximum matching that misses an endpoint of any given edge, a
@@ -26,13 +35,15 @@ resolved lexicographically so outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, tee
 from typing import Iterator, NamedTuple
 
 from .graph import (
     Edge,
     Graph,
     _edge_of,
+    _fact,
+    bipartition,
     delete_edge,
     distance_to_set,
     drop_isolated,
@@ -44,10 +55,8 @@ from .graph import (
 from .matching import (
     Matching,
     MatchingSet,
-    allowed_verdicts,
     covered_and_missed,
     enumerate_maximum_matchings,
-    has_perfect_matching,
     matchings_containing,
     within_guard,
     _allowed_verdicts,
@@ -123,6 +132,104 @@ class DeletionStep(NamedTuple):
     dropped: tuple[int, ...]
 
 
+class _Facts:
+    """Lazily computed per-graph facts shared across property checks.
+
+    A route supplies ``nu``, ``allowed``, ``covered`` and ``deletions()``
+    (per edge of ``g.edges``, whether G - e is matching covered); every
+    other fact is defined here once.  ``missed`` (D(G)) and ``keys`` read
+    ``ms``, the one enumeration that every route shares.  This class is the
+    fast route: one blossom maximum matching (``mate``) gives ν and feeds the
+    allowed-edge kernel, which also decides each G - e.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @_fact
+    def mate(self) -> list[int]:
+        return _max_matching_mates(self.g.n, self.g.adjacency)
+
+    @_fact
+    def nu(self) -> int:
+        return _matching_size(self.mate)
+
+    @_fact
+    def _verdicts(self) -> tuple[Iterator[bool], Iterator[bool]]:
+        # One kernel run per graph, teed: allowed resumes where covered stopped.
+        g = self.g
+        return tee(_allowed_verdicts(g.n, g.adjacency, self.mate, g.edges))
+
+    @_fact
+    def covered(self) -> bool:
+        return all(self._verdicts[0])
+
+    @_fact
+    def allowed(self) -> tuple[Edge, ...]:
+        return tuple(compress(self.g.edges, self._verdicts[1]))
+
+    def deletions(self) -> Iterator[bool]:
+        return (_covered_without(self.g, e) for e in self.g.edges)
+
+    @_fact
+    def minimal_covered(self) -> bool:
+        return self.covered and not any(self.deletions())
+
+    @_fact
+    def perfect(self) -> bool:
+        return _covers_all(self.g.n, self.nu)
+
+    @_fact
+    def connected(self) -> bool:
+        return is_connected(self.g)
+
+    @_fact
+    def no_isolated(self) -> bool:
+        return not isolated_vertices(self.g)
+
+    @_fact
+    def ms(self) -> MatchingSet:
+        return enumerate_maximum_matchings(self.g)
+
+    @_fact
+    def parts(self):
+        return bipartition(self.g)
+
+    @_fact
+    def missed(self) -> frozenset[int]:
+        # D(G), the vertices some maximum matching misses: v is missed by a
+        # mask of ms that shares no bit with the mask of v's edges.
+        g, masks = self.g, self.ms.masks
+        at = (sum(1 << k for k, e in enumerate(g.edges) if v in e) for v in range(g.n))
+        return frozenset(v for v, edges in enumerate(at) if not all(m & edges for m in masks))
+
+    @_fact
+    def keys(self) -> tuple[int, ...]:
+        # Per edge, the maximum matchings through it: bit i for ms.masks[i].
+        masks = self.ms.masks
+        return tuple(sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+                     for k in range(len(self.g.edges)))
+
+
+class _OracleFacts(_Facts):
+    """The enumeration route: ν and the allowed edges read off ``ms`` only."""
+
+    @_fact
+    def nu(self) -> int:
+        return self.ms.nu
+
+    @_fact
+    def covered(self) -> bool:
+        return self.allowed == self.g.edges
+
+    @_fact
+    def allowed(self) -> tuple[Edge, ...]:
+        return self.ms.allowed
+
+    def deletions(self) -> Iterator[bool]:
+        return (_OracleFacts(delete_edge(self.g, e)).covered for e in self.g.edges)
+
+
 def is_allowed(g: Graph, e: tuple[int, int]) -> bool:
     """True when some maximum matching contains ``e``.
 
@@ -130,12 +237,14 @@ def is_allowed(g: Graph, e: tuple[int, int]) -> bool:
     augmenting searches in ``G - u - v`` (one when that matching is perfect);
     no enumeration.
     """
-    return next(allowed_verdicts(g, (_edge_of(g, e),)))
+    e = _edge_of(g, e)
+    n, adj = g.n, g.adjacency
+    return next(_allowed_verdicts(n, adj, _max_matching_mates(n, adj), (e,)))
 
 
 def allowed_edges(g: Graph) -> tuple[Edge, ...]:
     """All allowed edges, sorted (fast path)."""
-    return tuple(compress(g.edges, allowed_verdicts(g, g.edges)))
+    return _Facts(g).allowed
 
 
 def allowed_edges_enumerated(g: Graph) -> tuple[Edge, ...]:
@@ -151,7 +260,7 @@ def core_subgraph(g: Graph) -> Graph:
 
 def is_matching_covered(g: Graph) -> bool:
     """True when every edge is allowed; vacuously true for edgeless graphs."""
-    return all(allowed_verdicts(g, g.edges))
+    return _Facts(g).covered
 
 
 def is_minimal_matching_covered(g: Graph) -> bool:
@@ -160,7 +269,7 @@ def is_minimal_matching_covered(g: Graph) -> bool:
     The deletion test keeps the vertex set intact: the comparison is between
     ``G - e`` and its own core as graphs on the same vertices.
     """
-    return is_matching_covered(g) and not any(_covered_without(g, e) for e in g.edges)
+    return _Facts(g).minimal_covered
 
 
 def _verdicts_without(g: Graph, e: Edge) -> tuple[tuple[Edge, ...], Iterator[bool], list[int]]:
@@ -276,14 +385,14 @@ def lemma1_witness(g: Graph, e: tuple[int, int]) -> Matching:
     :class:`RefutationError`.
     """
     e = edge(*e)
-    _require(is_connected(g), "graph must be connected")
-    _require(is_matching_covered(g), "graph must be matching covered")
-    _require(not has_perfect_matching(g), "graph must not have a perfect matching")
+    facts = _Facts(g)
+    _require(facts.connected, "graph must be connected")
+    _require(facts.covered, "graph must be matching covered")
+    _require(not facts.perfect, "graph must not have a perfect matching")
     _edge_of(g, e)
-    ms = enumerate_maximum_matchings(g)
     best: Matching | None = None
     best_mu: int | None = None
-    for f in ms:
+    for f in facts.ms:
         value = mu(g, e, f)
         if value is None:
             continue
@@ -307,10 +416,10 @@ def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:
     the graph is within the enumeration guard.
     """
     e = edge(*e)
-    _require(is_matching_covered(g), "graph must be matching covered")
+    facts = _Facts(g)
+    _require(facts.covered, "graph must be matching covered")
     _edge_of(g, e)
-    ms = enumerate_maximum_matchings(g) if within_guard(g) else None
-    return _dominated_edge(g, e, ms)
+    return _dominated_edge(g, e, facts.ms if within_guard(g) else None)
 
 
 def _dominated_edge(g: Graph, e: Edge, ms: MatchingSet | None) -> Edge:
@@ -350,8 +459,9 @@ def theorem_witness_sequence(g: Graph) -> WitnessSequence:
 def _witness_with_set(g: Graph) -> tuple[WitnessSequence, MatchingSet]:
     # The sequence and the one enumeration it was checked against.
     _require(g.edges != (), "graph must have at least one edge")
-    _require(is_minimal_matching_covered(g), "graph must be minimal matching covered")
-    ms = enumerate_maximum_matchings(g)
+    facts = _Facts(g)
+    _require(facts.minimal_covered, "graph must be minimal matching covered")
+    ms = facts.ms
     sequence: list[Edge] = [g.edges[0]]
     positions: dict[Edge, int] = {g.edges[0]: 0}
     # Pigeonhole: a repeat must occur within |E| + 1 entries.
@@ -373,29 +483,17 @@ def _witness_with_set(g: Graph) -> tuple[WitnessSequence, MatchingSet]:
     raise AssertionError("no repetition within the pigeonhole bound")
 
 
-def shared_matching_set(g: Graph, ws: WitnessSequence) -> tuple[Matching, ...]:
-    """The common set of maximum matchings through both edges of the pair."""
-    ms = enumerate_maximum_matchings(g)
-    return matchings_containing(ms, ws.pair[1])
-
-
 def analyze(g: Graph) -> CoverReport:
     """Compute the full allowed-edge report for one graph."""
-    # ν and every verdict come from one blossom maximum matching.
-    mate = _max_matching_mates(g.n, g.adjacency)
-    nu = _matching_size(mate)
-    verdicts = tuple(_allowed_verdicts(g.n, g.adjacency, mate, g.edges))
-    allowed = tuple(compress(g.edges, verdicts))
-    disallowed = tuple(compress(g.edges, (not ok for ok in verdicts)))
-    covered = not disallowed
-    minimal = covered and not any(_covered_without(g, e) for e in g.edges)
+    facts = _Facts(g)
+    allowed = frozenset(facts.allowed)
     return CoverReport(
-        nu=nu,
-        allowed=allowed,
-        disallowed=disallowed,
-        is_matching_covered=covered,
-        is_minimal_matching_covered=minimal,
-        has_perfect_matching=_covers_all(g.n, nu),
+        nu=facts.nu,
+        allowed=facts.allowed,
+        disallowed=tuple(e for e in g.edges if e not in allowed),
+        is_matching_covered=facts.covered,
+        is_minimal_matching_covered=facts.minimal_covered,
+        has_perfect_matching=facts.perfect,
     )
 
 

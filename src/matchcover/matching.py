@@ -226,28 +226,23 @@ def matching_number(g: Graph) -> int:
     return _matching_size(_max_matching_mates(g.n, g.adjacency))
 
 
-def allowed_verdicts(g: Graph, edges: Iterable[Edge]) -> Iterator[bool]:
-    """Lazily, for each of ``edges`` (edges of ``g``), whether some maximum
-    matching contains it.
-
-    One maximum matching M decides every edge.  An edge of M is allowed, as
-    is one with an endpoint M leaves uncovered (swap it in) or with adjacent
-    mates (swap the alternating 4-cycle).  Otherwise uv is allowed iff M
-    without its edges at u and v has an augmenting path in ``G - u - v``.
-    Such a path ends at mate(u) or mate(v), or it would augment M too, so at
-    most two single-root searches decide the edge, and one when M is perfect.
-    """
-    n, adj = g.n, g.adjacency
-    return _allowed_verdicts(n, adj, _max_matching_mates(n, adj), edges)
-
-
 def _allowed_verdicts(n: int, adj: Sequence[Sequence[int]], mate: list[int],
                       edges: Iterable[Edge]) -> Iterator[bool]:
-    # The per-edge loop of allowed_verdicts, given the mates of a maximum
-    # matching M (-1 where M leaves a vertex exposed).  When the search from
-    # a = mate(u) fails, a path from b = mate(v) must end at a vertex M leaves
-    # exposed in G (one ending at a would have been found from a), so that
-    # second search runs only if M is not perfect.
+    """Lazily, for each of ``edges`` (edges of the graph on ``n`` vertices
+    with neighbour lists ``adj``), whether some maximum matching contains it,
+    given ``mate``, the mates of a maximum matching M (-1 where M leaves a
+    vertex exposed).
+
+    M decides every edge.  An edge of M is allowed, as is one with an
+    endpoint M leaves uncovered (swap it in) or with adjacent mates (swap the
+    alternating 4-cycle).  Otherwise uv is allowed iff M without its edges at
+    u and v has an augmenting path in ``G - u - v``.  Such a path ends at
+    mate(u) or mate(v), or it would augment M too, so at most two single-root
+    searches decide the edge.  When the search from a = mate(u) fails, a path
+    from b = mate(v) must end at a vertex M leaves exposed in G (one ending at
+    a would have been found from a), so that second search runs only if M is
+    not perfect.
+    """
     exposed = -1 in mate
     # Pairing u and v with a sentinel vertex n that has no neighbors makes
     # them dead ends for the unchanged search, which then runs in G - u - v.

@@ -5,16 +5,18 @@ graphs up to a size bound, a seeded random family, or an ingested graph6
 stream), evaluates each requested property on the graphs satisfying its
 hypothesis class, and tallies passes and failures.  A population yields
 one facts object per graph, from one of three routes that supply only ν,
-the allowed edges, "matching covered" and the G - e deletion test: the
-fast route (random and ingested graphs), the oracle route (re-verification)
-and, for labeled graphs, a per-chunk table of ν and the "matching covered"
-verdict per edge mask, built by int lane arithmetic and checked against a
-second recurrence, with no blossom search and no ``Graph``.  Every chunk of
-work returns one keyed ``Counter`` tally, and one merge sums them.
-The first counterexample is minimal under ``(n, graph6)`` ordering no matter
-how the work is scheduled, and any failure detected by the fast predicates
-is re-verified against the enumeration oracle before it is reported.  An
-error that stops a sweep is the one a serial run raises, at any worker count.
+the allowed edges, "matching covered" and the G - e deletion test.  The
+fast route (random and ingested graphs) and the oracle route
+(re-verification) live in :mod:`matchcover.cover`, beside the single-graph
+commands; this module keeps only the labeled route: a per-chunk table of ν
+and the "matching covered" verdict per edge mask, built by int lane
+arithmetic and checked against a second recurrence, with no blossom search
+and no ``Graph``.  Every chunk of work returns one keyed ``Counter`` tally,
+and one merge sums them.  The first counterexample is minimal under
+``(n, graph6, property)`` ordering no matter how the work is scheduled, and
+any failure detected by the fast predicates is re-verified against the
+enumeration oracle before it is reported.  An error that stops a sweep is
+the one a serial run raises, at any worker count.
 
 Properties:
 
@@ -40,34 +42,21 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import compress, tee
+from itertools import compress
 from typing import IO, Iterable, Iterator, Sequence
 
-from .cover import _covered_without
+from .cover import _Facts, _OracleFacts
 from .graph import (
     GRAPH6_MAX_N,
     Edge,
     Graph,
     ParseError,
     _fact,
-    bipartition,
     check_graph6_size,
-    delete_edge,
-    is_connected,
-    isolated_vertices,
     parse_graph6,
     to_graph6,
 )
-from .matching import (
-    GuardExceededError,
-    MatchingSet,
-    _allowed_verdicts,
-    _covers_all,
-    _matching_size,
-    _max_matching_mates,
-    enumerate_maximum_matchings,
-    within_guard,
-)
+from .matching import GuardExceededError, within_guard
 
 EXHAUSTIVE_MODE = "exhaustive-labeled"
 RANDOM_MODE = "random"
@@ -123,28 +112,6 @@ def _splitmix64_lanes(seed: int, count: int) -> int:
     return (z ^ (z >> 31)) & low
 
 
-class SplitMix64:
-    """Portable 64-bit generator (splitmix64), part of the seeding contract.
-
-    State advances by the golden-gamma constant 0x9E3779B97F4A7C15; outputs
-    are finalized with the standard 30/27/31 xor-shift-multiply chain
-    (multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  Identical seeds
-    produce identical streams on every platform.
-    """
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_uint64(self) -> int:
-        z = _splitmix64_lanes(self._state, 1)
-        self._state = (self._state + _GAMMA) & _MASK64
-        return z
-
-    def next_unit(self) -> float:
-        # 53-bit mantissa in [0, 1).
-        return (self.next_uint64() >> 11) * (2.0**-53)
-
-
 def _draws_below(seed: int, count: int, limit: int) -> bytes:
     # Byte k is 1 if output k of seed's splitmix64 stream is below limit
     # (at most 2^64), else 0.  Per lane, 2^64 + limit - 1 - z lies in
@@ -162,9 +129,9 @@ def _draws_below(seed: int, count: int, limit: int) -> bytes:
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Independent coin flips per vertex pair, in lexicographic pair order.
 
-    Pair k is an edge iff the k-th draw's unit value, ``next_unit()``, is
-    below ``p``.  Identical ``(n, p, seed)`` produce the identical graph on
-    every platform.
+    Pair k is an edge iff the unit value ``(z >> 11) * 2**-53`` of the k-th
+    splitmix64 output z for ``seed`` is below ``p``.  Identical ``(n, p,
+    seed)`` produce the identical graph on every platform.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -431,104 +398,6 @@ def ingest_graph6_stream(
 # ---------------------------------------------------------------------------
 # Property evaluation
 # ---------------------------------------------------------------------------
-
-
-class _Facts:
-    """Lazily computed per-graph facts shared across property checks.
-
-    A route supplies ``nu``, ``allowed``, ``covered`` and ``deletions()``
-    (per edge of ``g.edges``, whether G - e is matching covered); every
-    other fact is defined here once.  ``missed`` (D(G)) and ``keys`` read
-    ``ms``, the one enumeration that every route shares.  This class is the
-    fast route: one blossom maximum matching (``mate``) gives ν and feeds the
-    allowed-edge kernel, which also decides each G - e.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-
-    @_fact
-    def mate(self) -> list[int]:
-        return _max_matching_mates(self.g.n, self.g.adjacency)
-
-    @_fact
-    def nu(self) -> int:
-        return _matching_size(self.mate)
-
-    @_fact
-    def _verdicts(self) -> tuple[Iterator[bool], Iterator[bool]]:
-        # One kernel run per graph, teed: allowed resumes where covered stopped.
-        g = self.g
-        return tee(_allowed_verdicts(g.n, g.adjacency, self.mate, g.edges))
-
-    @_fact
-    def covered(self) -> bool:
-        return all(self._verdicts[0])
-
-    @_fact
-    def allowed(self) -> tuple[Edge, ...]:
-        return tuple(compress(self.g.edges, self._verdicts[1]))
-
-    def deletions(self) -> Iterator[bool]:
-        return (_covered_without(self.g, e) for e in self.g.edges)
-
-    @_fact
-    def minimal_covered(self) -> bool:
-        return self.covered and not any(self.deletions())
-
-    @_fact
-    def perfect(self) -> bool:
-        return _covers_all(self.g.n, self.nu)
-
-    @_fact
-    def connected(self) -> bool:
-        return is_connected(self.g)
-
-    @_fact
-    def no_isolated(self) -> bool:
-        return not isolated_vertices(self.g)
-
-    @_fact
-    def ms(self) -> MatchingSet:
-        return enumerate_maximum_matchings(self.g)
-
-    @_fact
-    def parts(self):
-        return bipartition(self.g)
-
-    @_fact
-    def missed(self) -> frozenset[int]:
-        # D(G), the vertices some maximum matching misses: v is missed by a
-        # mask of ms that shares no bit with the mask of v's edges.
-        g, masks = self.g, self.ms.masks
-        at = (sum(1 << k for k, e in enumerate(g.edges) if v in e) for v in range(g.n))
-        return frozenset(v for v, edges in enumerate(at) if not all(m & edges for m in masks))
-
-    @_fact
-    def keys(self) -> tuple[int, ...]:
-        # Per edge, the maximum matchings through it: bit i for ms.masks[i].
-        masks = self.ms.masks
-        return tuple(sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
-                     for k in range(len(self.g.edges)))
-
-
-class _OracleFacts(_Facts):
-    """The enumeration route: ν and the allowed edges read off ``ms`` only."""
-
-    @_fact
-    def nu(self) -> int:
-        return self.ms.nu
-
-    @_fact
-    def covered(self) -> bool:
-        return self.allowed == self.g.edges
-
-    @_fact
-    def allowed(self) -> tuple[Edge, ...]:
-        return self.ms.allowed
-
-    def deletions(self) -> Iterator[bool]:
-        return (_OracleFacts(delete_edge(self.g, e)).covered for e in self.g.edges)
 
 
 class _LabeledFacts(_Facts):

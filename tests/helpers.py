@@ -1,6 +1,20 @@
-"""Fixture graphs and probes shared across the test modules."""
+"""Fixture graphs, probes and reference routes shared across the test modules."""
 
-from matchcover import Edge, Graph, cover, matching, sweep
+from unittest import mock
+
+from matchcover import (
+    Edge,
+    Graph,
+    brute_force_matching_number,
+    cover,
+    delete_edge,
+    enumerate_maximum_matchings,
+    matching,
+    matchings_containing,
+    sweep,
+    to_graph6,
+)
+from matchcover.graph import _fact
 
 
 # The ν field of a labeled ν-table byte (bits 0-3); bit 5 is sweep._COVERED.
@@ -100,7 +114,7 @@ def count_builds(monkeypatch, cls: type = Graph) -> list:
 
 
 def count_edge_deletions(monkeypatch) -> list[tuple[Graph, tuple[int, int]]]:
-    """Record every ``delete_edge`` call made through cover or sweep from now on."""
+    """Record every ``delete_edge`` call made through cover from now on."""
     calls: list[tuple[Graph, tuple[int, int]]] = []
     original = cover.delete_edge
 
@@ -108,14 +122,13 @@ def count_edge_deletions(monkeypatch) -> list[tuple[Graph, tuple[int, int]]]:
         calls.append((g, e))
         return original(g, e)
 
-    for module in (cover, sweep):
-        monkeypatch.setattr(module, "delete_edge", counting)
+    monkeypatch.setattr(cover, "delete_edge", counting)
     return calls
 
 
 def count_blossom_passes(monkeypatch) -> list[int]:
     """Record the vertex count of every blossom maximum-matching pass made
-    through matching, cover or sweep from now on."""
+    through matching or cover from now on."""
     passes: list[int] = []
     original = matching._max_matching_mates
 
@@ -123,7 +136,7 @@ def count_blossom_passes(monkeypatch) -> list[int]:
         passes.append(n)
         return original(n, adj)
 
-    for module in (matching, cover, sweep):
+    for module in (matching, cover):
         monkeypatch.setattr(module, "_max_matching_mates", counting)
     return passes
 
@@ -143,11 +156,13 @@ def count_deletion_kernel_runs(monkeypatch) -> list[tuple[Graph, Edge]]:
 
 def count_kernel_searches(monkeypatch) -> list[int]:
     """Record the root of every single-root search that the allowed-edge
-    kernel runs through ``sweep._allowed_verdicts`` from now on; the blossom
-    pass and the kernel runs of the ``G - e`` deletion loop are not counted."""
+    kernel runs for a facts object (``cover._Facts._verdicts``) from now on;
+    the blossom pass and the kernel runs of the ``G - e`` deletion loop, which
+    call the same ``cover._allowed_verdicts``, are not counted."""
     roots: list[int] = []
     in_kernel: list[bool] = []
-    augment, verdicts = matching._augment_from, sweep._allowed_verdicts
+    augment, verdicts = matching._augment_from, cover._allowed_verdicts
+    facts_verdicts = cover._Facts._verdicts.func
 
     def counting_augment(root, *args):
         if in_kernel:
@@ -166,8 +181,13 @@ def count_kernel_searches(monkeypatch) -> list[int]:
                 return
             yield ok
 
+    def _verdicts(facts):
+        # Named as the fact it replaces, which _fact stores under this name.
+        with mock.patch.object(cover, "_allowed_verdicts", counting_verdicts):
+            return facts_verdicts(facts)
+
     monkeypatch.setattr(matching, "_augment_from", counting_augment)
-    monkeypatch.setattr(sweep, "_allowed_verdicts", counting_verdicts)
+    monkeypatch.setattr(cover._Facts, "_verdicts", _fact(_verdicts))
     return roots
 
 
@@ -261,3 +281,69 @@ def lex_pairs(n: int) -> list[Edge]:
 def labeled_graph(n: int, mask: int) -> Graph:
     """The labeled graph with edge mask ``mask``, built by testing every pair."""
     return Graph(n, [e for k, e in enumerate(lex_pairs(n)) if mask >> k & 1])
+
+
+class SplitMix64:
+    """The scalar splitmix64 stream, the reference for the random graphs'
+    lane-packed draws (``sweep._splitmix64_lanes``).
+
+    State advances by the golden-gamma constant 0x9E3779B97F4A7C15; outputs
+    are finalized with the standard 30/27/31 xor-shift-multiply chain
+    (multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).
+    """
+
+    MASK64 = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self._state = seed & self.MASK64
+
+    def next_uint64(self) -> int:
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & self.MASK64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & self.MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & self.MASK64
+        return z ^ (z >> 31)
+
+    def next_unit(self) -> float:
+        # 53-bit mantissa in [0, 1).
+        return (self.next_uint64() >> 11) * (2.0**-53)
+
+
+def shared_matching_set(g: Graph, ws: cover.WitnessSequence) -> tuple:
+    """The common set of maximum matchings through both edges of the pair."""
+    return matchings_containing(enumerate_maximum_matchings(g), ws.pair[1])
+
+
+# Oracle-only replays: every fact from enumeration and backtracking alone.
+
+
+def oracle_allowed(g: Graph):
+    return tuple(sorted({e for f in enumerate_maximum_matchings(g) for e in f.edges}))
+
+
+def oracle_covered(g: Graph) -> bool:
+    return oracle_allowed(g) == g.edges
+
+
+def oracle_minimal_covered(g: Graph) -> bool:
+    return oracle_covered(g) and all(
+        not oracle_covered(delete_edge(g, e)) for e in g.edges
+    )
+
+
+def oracle_perfect(g: Graph) -> bool:
+    return g.n % 2 == 0 and 2 * brute_force_matching_number(g) == g.n
+
+
+def oracle_analyze_payload(g: Graph) -> dict:
+    allowed = oracle_allowed(g)
+    disallowed = tuple(e for e in g.edges if e not in set(allowed))
+    return {
+        "graph6": to_graph6(g),
+        "n": g.n,
+        "nu": brute_force_matching_number(g),
+        "allowed": [[u, v] for u, v in allowed],
+        "disallowed": [[u, v] for u, v in disallowed],
+        "matching_covered": not disallowed,
+        "minimal_matching_covered": oracle_minimal_covered(g),
+        "perfect_matching": oracle_perfect(g),
+    }

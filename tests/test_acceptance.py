@@ -15,7 +15,6 @@ import pytest
 from matchcover import (
     Graph,
     SweepConfig,
-    brute_force_matching_number,
     delete_edge,
     drop_isolated,
     enumerate_labeled_graphs,
@@ -34,6 +33,8 @@ from matchcover import (
 )
 from matchcover.cli import canonical_json
 from matchcover.sweep import EXHAUSTIVE_MODE, PROPERTY_NAMES, RANDOM_MODE
+
+from helpers import oracle_allowed, oracle_analyze_payload, oracle_covered
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "golden"
@@ -98,39 +99,6 @@ def classified_n6():
 # ---------------------------------------------------------------------------
 # Oracle-only replays used by the golden-fixture criterion
 # ---------------------------------------------------------------------------
-
-
-def oracle_allowed(g: Graph):
-    return tuple(sorted({e for f in enumerate_maximum_matchings(g) for e in f.edges}))
-
-
-def oracle_covered(g: Graph) -> bool:
-    return oracle_allowed(g) == g.edges
-
-
-def oracle_minimal_covered(g: Graph) -> bool:
-    return oracle_covered(g) and all(
-        not oracle_covered(delete_edge(g, e)) for e in g.edges
-    )
-
-
-def oracle_perfect(g: Graph) -> bool:
-    return g.n % 2 == 0 and 2 * brute_force_matching_number(g) == g.n
-
-
-def oracle_analyze_payload(g: Graph) -> dict:
-    allowed = oracle_allowed(g)
-    disallowed = tuple(e for e in g.edges if e not in set(allowed))
-    return {
-        "graph6": to_graph6(g),
-        "n": g.n,
-        "nu": brute_force_matching_number(g),
-        "allowed": [[u, v] for u, v in allowed],
-        "disallowed": [[u, v] for u, v in disallowed],
-        "matching_covered": not disallowed,
-        "minimal_matching_covered": oracle_minimal_covered(g),
-        "perfect_matching": oracle_perfect(g),
-    }
 
 
 def oracle_dominated_edge(g: Graph, e):

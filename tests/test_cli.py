@@ -499,12 +499,12 @@ class TestSweep:
 class TestInternalErrors:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_route_disagreement_exits_3(self, capsys, monkeypatch, jobs):
-        from matchcover import sweep as sweep_mod
+        from matchcover import cover
 
         if jobs != "1" and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches workers only through fork")
         # A wrong fast nu makes the oracle re-verification disagree.
-        monkeypatch.setattr(sweep_mod._Facts, "nu", property(lambda facts: 0))
+        monkeypatch.setattr(cover._Facts, "nu", property(lambda facts: 0))
         code, out, err = run_cli(
             capsys,
             ["sweep", "--exhaustive", "--max-n", "4",

@@ -40,10 +40,10 @@ from matchcover import (
     random_graph,
     theorem_witness_sequence,
 )
-from matchcover import matching
-from matchcover.cover import DeletionStep, _covered_without, shared_matching_set
+from matchcover import cli, matching, to_graph6
+from matchcover.cover import DeletionStep, _covered_without, _OracleFacts
 from matchcover.graph import isolated_vertices
-from matchcover.sweep import _OracleFacts
+from matchcover.matching import within_guard
 
 from helpers import (
     C4,
@@ -59,7 +59,9 @@ from helpers import (
     count_deletion_kernel_runs,
     count_scans,
     cycle_graph,
+    oracle_analyze_payload,
     path_graph,
+    shared_matching_set,
 )
 
 
@@ -426,6 +428,12 @@ class TestLemma1Witness:
                 f = lemma1_witness(g, e)
                 assert mu(g, e, f) == 0
 
+    def test_class_and_matchings_share_one_blossom_pass(self, monkeypatch):
+        # C5 is connected, matching covered and has no perfect matching.
+        passes = count_blossom_passes(monkeypatch)
+        assert lemma1_witness(cycle_graph(5), (0, 1)).edges == (Edge(0, 4), Edge(2, 3))
+        assert passes == [5]
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             lemma1_witness(P4, (0, 1))  # not matching covered
@@ -575,6 +583,25 @@ class TestAnalyze:
         assert report.is_matching_covered
         assert not report.is_minimal_matching_covered
         assert not report.has_perfect_matching
+
+    @staticmethod
+    def agrees_with_the_oracle(g):
+        # The reply the CLI prints for analyze(g), against every field
+        # replayed by enumeration and backtracking alone.
+        payload, _, _ = cli._analyze(g)
+        assert {"graph6": to_graph6(g), **payload} == oracle_analyze_payload(g), to_graph6(g)
+
+    def test_every_labeled_graph_up_to_n5_agrees_with_the_oracle(self):
+        graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+        assert len(graphs) == 1100
+        for g in graphs:
+            self.agrees_with_the_oracle(g)
+
+    def test_seeded_random_graphs_within_the_guard_agree_with_the_oracle(self):
+        graphs = [random_graph(7 + i % 6, 0.35, 4000 + i) for i in range(100)]
+        assert all(map(within_guard, graphs))
+        for g in graphs:
+            self.agrees_with_the_oracle(g)
 
     @pytest.mark.parametrize("g", [K2, P3, K3, P4, C4, K4, STAR3, C6, TWO_K2])
     def test_report_invariants(self, g):

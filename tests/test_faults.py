@@ -23,7 +23,7 @@ from unittest import mock
 import pytest
 
 from helpers import loop_nu_table
-from matchcover import cli, matching, sweep
+from matchcover import cli, cover, matching, sweep
 from matchcover.sweep import (
     EXHAUSTIVE_MODE,
     RANDOM_MODE,
@@ -60,7 +60,7 @@ def drop_matchings_through_one_allowed_edge():
 
 
 def flip_one_verdict():
-    verdicts = sweep._allowed_verdicts
+    verdicts = cover._allowed_verdicts
 
     def faulty(*args):
         # The first verdict flipped, the others as they come.
@@ -69,7 +69,7 @@ def flip_one_verdict():
             yield not ok
             yield from stream
 
-    return mock.patch.object(sweep, "_allowed_verdicts", faulty)
+    return mock.patch.object(cover, "_allowed_verdicts", faulty)
 
 
 class _LooksPerfect(list):
@@ -80,16 +80,16 @@ class _LooksPerfect(list):
 
 
 def no_second_search():
-    verdicts = sweep._allowed_verdicts
+    verdicts = cover._allowed_verdicts
 
     def faulty(n, adj, mate, edges):
         return verdicts(n, adj, _LooksPerfect(mate), edges)
 
-    return mock.patch.object(sweep, "_allowed_verdicts", faulty)
+    return mock.patch.object(cover, "_allowed_verdicts", faulty)
 
 
 def free_one_matched_pair():
-    mates = sweep._max_matching_mates
+    mates = cover._max_matching_mates
 
     def faulty(n, adj):
         mate = mates(n, adj)
@@ -99,7 +99,7 @@ def free_one_matched_pair():
             mate[mate[v]] = mate[v] = -1
         return mate
 
-    return mock.patch.object(sweep, "_max_matching_mates", faulty)
+    return mock.patch.object(cover, "_max_matching_mates", faulty)
 
 
 # Each fault and the property that catches it.

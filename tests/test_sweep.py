@@ -26,6 +26,7 @@ from matchcover import (
     sweep_graphs,
     to_graph6,
 )
+from matchcover.cover import _Facts, _OracleFacts
 from matchcover.graph import isolated_vertices
 from matchcover.matching import within_guard
 from matchcover.sweep import (
@@ -34,15 +35,12 @@ from matchcover.sweep import (
     PROPERTY_NAMES,
     RANDOM_MODE,
     RouteDisagreementError,
-    SplitMix64,
     StreamParseError,
-    _Facts,
     _COVERED,
     _LabeledFacts,
     _labeled_facts,
     _merge_tallies,
     _nu_table,
-    _OracleFacts,
     _fact,
     _splitmix64_lanes,
     _sweep_chunk,
@@ -55,6 +53,7 @@ from helpers import (
     NU,
     ReversedPool,
     SerialPool,
+    SplitMix64,
     count_blossom_passes,
     count_builds,
     count_deletion_kernel_runs,
@@ -546,9 +545,9 @@ class TestErrorsDoNotDependOnJobs:
 
     @staticmethod
     def plant(monkeypatch):
-        from matchcover import sweep as sweep_mod
+        from matchcover import cover
 
-        mates = sweep_mod._max_matching_mates
+        mates = cover._max_matching_mates
 
         def faulty(n, adj):
             mate = mates(n, adj)
@@ -556,7 +555,7 @@ class TestErrorsDoNotDependOnJobs:
                 mate[mate[0]] = mate[0] = -1
             return mate
 
-        monkeypatch.setattr(sweep_mod, "_max_matching_mates", faulty)
+        monkeypatch.setattr(cover, "_max_matching_mates", faulty)
 
     def disagreement(self, jobs) -> str:
         with pytest.raises(RouteDisagreementError) as caught:
@@ -655,11 +654,9 @@ class TestOneEnumerationPerGraph:
         assert passes == [7] * 40
 
     def test_reverify_enumerates_the_graph_once(self, monkeypatch):
-        from matchcover import sweep as sweep_mod
-
         # A fast nu of 0 makes C4 fail the theorem; the oracle re-check then
         # disagrees.  C4 itself is enumerated once, each C4 - e once.
-        monkeypatch.setattr(sweep_mod._Facts, "nu", property(lambda facts: 0))
+        monkeypatch.setattr(_Facts, "nu", property(lambda facts: 0))
         scanned = count_scans(monkeypatch)
         with pytest.raises(RouteDisagreementError, match="disagree"):
             sweep_graphs([C4], ("theorem",))
@@ -746,19 +743,15 @@ class TestOracleChecksCatchTheFastRoute:
     CFG = dict(mode=EXHAUSTIVE_MODE, max_n=4)
 
     def test_wrong_matching_number_fails_oracle_nu(self, monkeypatch):
-        from matchcover import sweep as sweep_mod
-
-        fast = sweep_mod._Facts.nu.func
-        monkeypatch.setattr(sweep_mod._Facts, "nu", property(lambda facts: fast(facts) + 1))
+        fast = _Facts.nu.func
+        monkeypatch.setattr(_Facts, "nu", property(lambda facts: fast(facts) + 1))
         report = run_sweep(SweepConfig(properties=("oracle-nu",), **self.CFG))
         assert report.failures["oracle-nu"] == report.in_class["oracle-nu"] == 76
 
     def test_missing_allowed_edge_fails_oracle_allowed(self, monkeypatch):
-        from matchcover import sweep as sweep_mod
-
-        fast = sweep_mod._Facts.allowed.func
+        fast = _Facts.allowed.func
         monkeypatch.setattr(
-            sweep_mod._Facts, "allowed", property(lambda facts: fast(facts)[:-1])
+            _Facts, "allowed", property(lambda facts: fast(facts)[:-1])
         )
         report = run_sweep(SweepConfig(properties=("oracle-allowed",), **self.CFG))
         # Every graph with an edge has an allowed edge to drop.
@@ -928,12 +921,12 @@ class TestLabeledMinimalCovered:
 
 class TestLazyFacts:
     def test_each_fact_is_computed_once_per_facts_object(self, monkeypatch):
-        from matchcover import sweep as sweep_mod
+        from matchcover import cover
 
         calls = []
         # The one blossom pass: C4 = 0-1-2-3-0 perfectly matched by 01 and 23.
         monkeypatch.setattr(
-            sweep_mod, "_max_matching_mates", lambda n, adj: calls.append(adj) or [1, 0, 3, 2]
+            cover, "_max_matching_mates", lambda n, adj: calls.append(adj) or [1, 0, 3, 2]
         )
         facts = _Facts(C4)
         assert facts.nu == 2 and calls == [C4.adjacency]
@@ -949,13 +942,13 @@ class TestLazyFacts:
         assert facts.g == K4 and len(built) == 1
 
     def test_oracle_overrides_still_win(self, monkeypatch):
-        from matchcover import sweep as sweep_mod
+        from matchcover import cover
 
         def fast_route(*args):
             raise AssertionError("the oracle facts ran the fast route")
 
-        monkeypatch.setattr(sweep_mod, "_max_matching_mates", fast_route)
-        monkeypatch.setattr(sweep_mod, "_allowed_verdicts", fast_route)
+        monkeypatch.setattr(cover, "_max_matching_mates", fast_route)
+        monkeypatch.setattr(cover, "_allowed_verdicts", fast_route)
         facts = _OracleFacts(K4)
         assert (facts.nu, facts.covered, facts.perfect) == (2, True, True)
         assert facts.minimal_covered is True
