@@ -377,12 +377,11 @@ def mu(g: Graph, e: tuple[int, int], f: Matching) -> int | None:
 def lemma1_witness(g: Graph, e: tuple[int, int]) -> Matching:
     """A maximum matching missing an endpoint of ``e``.
 
-    Scans the enumerated maximum matchings for the one minimizing the
-    endpoint-to-missed-vertices distance (ties broken lexicographically);
-    for a connected matching covered graph without a perfect matching that
-    minimum is 0, i.e. the returned matching misses ``u`` or ``v``.  A
-    nonzero minimum would contradict the property and raises
-    :class:`RefutationError`.
+    Returns the first enumerated maximum matching (in lexicographic order)
+    whose endpoint-to-missed-vertices distance :func:`mu` is 0, i.e. that
+    misses ``u`` or ``v``; for a connected matching covered graph without a
+    perfect matching one exists.  If none does, the property is refuted:
+    :class:`RefutationError` names the minimum distance over all of them.
     """
     e = edge(*e)
     facts = _Facts(g)
@@ -390,21 +389,15 @@ def lemma1_witness(g: Graph, e: tuple[int, int]) -> Matching:
     _require(facts.covered, "graph must be matching covered")
     _require(not facts.perfect, "graph must not have a perfect matching")
     _edge_of(g, e)
-    best: Matching | None = None
-    best_mu: int | None = None
     for f in facts.ms:
-        value = mu(g, e, f)
-        if value is None:
-            continue
-        if best_mu is None or value < best_mu:
-            best, best_mu = f, value
-    if best is None or best_mu != 0:
-        raise RefutationError(
-            "endpoint-missing property",
-            g,
-            f"min distance for edge ({e.u}, {e.v}) is {best_mu}, expected 0",
-        )
-    return best
+        if mu(g, e, f) == 0:
+            return f
+    distances = [d for d in (mu(g, e, f) for f in facts.ms) if d is not None]
+    raise RefutationError(
+        "endpoint-missing property",
+        g,
+        f"min distance for edge ({e.u}, {e.v}) is {min(distances, default=None)}, expected 0",
+    )
 
 
 def find_dominated_edge(g: Graph, e: tuple[int, int]) -> Edge:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -120,11 +120,11 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edge_set
 
 
-def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
-    # Column order of the upper triangle: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    for v in range(1, n):
-        for u in range(v):
-            yield u, v
+def _g6_shift(u: int, v: int, nbytes: int) -> int:
+    # The adjacency bits read as one integer, first bit highest: pair (u, v)
+    # is bit v(v - 1)/2 + u of the column-order stream x(0,1), x(0,2),
+    # x(1,2), x(0,3), ..., padded to nbytes six-bit bytes.
+    return 6 * nbytes - 1 - v * (v - 1) // 2 - u
 
 
 def parse_graph6(text: str) -> Graph:
@@ -158,17 +158,17 @@ def parse_graph6(text: str) -> Graph:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(body)}",
             base + 1 + min(len(body), nbytes),
         )
-    bits: list[int] = []
+    bits = 0
     for i, ch in enumerate(body):
         c = ord(ch)
         if not 63 <= c <= 126:
             raise Graph6ParseError(f"invalid graph6 character {ch!r}", base + 1 + i)
-        value = c - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+        bits = bits << 6 | c - 63
+    if bits & ((1 << 6 * nbytes - nbits) - 1):
         raise Graph6ParseError("trailing padding bits nonzero", base + nbytes)
-    edges = [pair for pair, bit in zip(_g6_pairs(n), bits) if bit]
-    return Graph(n, tuple(edges))
+    # Lexicographic Edges, which Graph keeps after its one-pass check.
+    return Graph(n, tuple(Edge(u, v) for u in range(n) for v in range(u + 1, n)
+                          if bits >> _g6_shift(u, v, nbytes) & 1))
 
 
 def check_graph6_size(n: int) -> None:
@@ -181,14 +181,11 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no header, no newline)."""
     n = g.n
     check_graph6_size(n)
-    # The adjacency bits as one integer, first bit highest: pair (u, v) is
-    # bit v(v - 1)/2 + u of the column-order stream, padded to whole bytes.
     nbytes = -(-(n * (n - 1) // 2) // 6)
-    top = 6 * nbytes - 1
     bits = 0
     for u, v in g.edges:
-        bits |= 1 << (top - v * (v - 1) // 2 - u)
-    body = (chr((bits >> shift & 63) + 63) for shift in range(top - 5, -1, -6))
+        bits |= 1 << _g6_shift(u, v, nbytes)
+    body = (chr((bits >> shift & 63) + 63) for shift in range(6 * nbytes - 6, -1, -6))
     return chr(n + 63) + "".join(body)
 
 

@@ -16,7 +16,8 @@ and one merge sums them.  The first counterexample is minimal under
 ``(n, graph6, property)`` ordering no matter how the work is scheduled, and
 any failure detected by the fast predicates is re-verified against the
 enumeration oracle before it is reported.  An error that stops a sweep is
-the one a serial run raises, at any worker count.
+the one a serial run raises, traceback included, at any worker count: a
+parallel sweep that fails is settled by running it serially.
 
 Properties:
 
@@ -682,29 +683,6 @@ def _sweep_chunk(
     return _tally_graphs(population, properties)
 
 
-class _ChunkFailure:
-    # What a worker's chunk raised, with the worker's traceback as text.
-    def __init__(self, error: Exception, trace: str):
-        self.error, self.trace = error, trace
-
-
-def _chunk_outcome(
-    args: tuple[SweepConfig | None, Sequence, tuple[str, ...]]
-) -> _Tally | _ChunkFailure:
-    """:func:`_sweep_chunk` in a worker, with a failure returned, not raised.
-
-    ``Pool.map`` raises the first failure to arrive, which need not be the
-    lowest chunk's; returned, every chunk's outcome reaches the parent in
-    chunk order, and the parent raises the one a serial run meets first.
-    """
-    try:
-        return _sweep_chunk(args)
-    except Exception as exc:
-        import traceback  # only on this path, to keep start-up light
-
-        return _ChunkFailure(exc, traceback.format_exc())
-
-
 def Pool(processes: int):
     """A ``multiprocessing.Pool``, imported when a parallel sweep starts one.
 
@@ -732,22 +710,29 @@ def _sweep(
     cfg: SweepConfig | None, items: Sequence, properties: Sequence[str], jobs: int
 ) -> SweepReport:
     """Sweep ``items``, which index ``cfg``'s population, or are the graphs
-    themselves when ``cfg`` is ``None``; both public sweeps end here."""
+    themselves when ``cfg`` is ``None``; both public sweeps end here.
+
+    A pool raises whichever chunk's failure arrives first, so a parallel
+    sweep that fails is run again serially: that raises the error a serial
+    run meets first, with its traceback.  A failure the serial run does not
+    meet is re-raised as the pool raised it, never hidden behind a report.
+    """
     properties = _checked_selection(properties, jobs)
     start = time.perf_counter()
     total = len(items)
-    if jobs == 1 or total < 2:
-        parts = [_sweep_chunk((cfg, items, properties))]
-    else:
+    parts = failure = None
+    if jobs > 1 and total > 1:
         step = -(-total // min(total, jobs * 4))  # at most 4 chunks per worker
         chunks = [(cfg, items[lo:lo + step], properties) for lo in range(0, total, step)]
-        with Pool(processes=jobs) as pool:
-            parts = pool.map(_chunk_outcome, chunks)
-        for part in parts:  # in chunk order: the failure a serial run meets first
-            if isinstance(part, _ChunkFailure):
-                from multiprocessing.pool import RemoteTraceback
-
-                raise part.error from RemoteTraceback(part.trace)
+        try:
+            with Pool(processes=jobs) as pool:
+                parts = pool.map(_sweep_chunk, chunks)
+        except Exception as exc:
+            failure = exc
+    if parts is None:  # a serial sweep, or a parallel one that failed
+        parts = [_sweep_chunk((cfg, items, properties))]
+    if failure is not None:  # failed only in the workers
+        raise failure
     counts, best = _merge_tallies(parts)
     return SweepReport(
         population=counts["population"],

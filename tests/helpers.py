@@ -241,6 +241,14 @@ class ReversedPool(SerialPool):
         return [results[index] for index in sorted(results)]
 
 
+class WorkerFailurePool(SerialPool):
+    """A ``SerialPool`` whose ``map`` runs no chunk and raises ``MemoryError``,
+    as a pool does when a failure happens in its worker processes alone."""
+
+    def map(self, func, items):
+        raise MemoryError("planted in the pool's workers")
+
+
 def loop_nu_table(n: int, stop: int) -> bytearray:
     """ν of every labeled graph on ``n`` vertices with edge mask below
     ``stop``, one byte per mask, by the top-pair recurrence in a loop.
@@ -314,6 +322,18 @@ def shared_matching_set(g: Graph, ws: cover.WitnessSequence) -> tuple:
 
 
 # Oracle-only replays: every fact from enumeration and backtracking alone.
+
+
+def min_scan_lemma1_witness(g: Graph, e: tuple[int, int]):
+    """The first maximum matching, in enumeration order, with the least
+    :func:`cover.mu` for ``e`` over all of them, or ``None`` if no missed
+    vertex is reachable from ``e``: a reference scan that reads every one."""
+    best, best_mu = None, None
+    for f in enumerate_maximum_matchings(g):
+        value = cover.mu(g, e, f)
+        if value is not None and (best_mu is None or value < best_mu):
+            best, best_mu = f, value
+    return best
 
 
 def oracle_allowed(g: Graph):

@@ -41,7 +41,7 @@ from matchcover import (
     theorem_witness_sequence,
 )
 from matchcover import cli, matching, to_graph6
-from matchcover.cover import DeletionStep, _covered_without, _OracleFacts
+from matchcover.cover import DeletionStep, _covered_without, _Facts, _OracleFacts
 from matchcover.graph import isolated_vertices
 from matchcover.matching import within_guard
 
@@ -59,6 +59,7 @@ from helpers import (
     count_deletion_kernel_runs,
     count_scans,
     cycle_graph,
+    min_scan_lemma1_witness,
     oracle_analyze_payload,
     path_graph,
     shared_matching_set,
@@ -427,6 +428,20 @@ class TestLemma1Witness:
             for e in g.edges:
                 f = lemma1_witness(g, e)
                 assert mu(g, e, f) == 0
+
+    def test_first_zero_equals_the_min_scan_up_to_six_vertices(self):
+        # Every (graph, edge) pair in lemma1's class with n <= 6: the first
+        # matching missing an endpoint is the one a scan for the least
+        # distance over all maximum matchings picks.
+        pairs = 0
+        for n in range(7):
+            for g in enumerate_labeled_graphs(n):
+                facts = _Facts(g)
+                if facts.connected and facts.covered and not facts.perfect:
+                    for e in g.edges:
+                        assert lemma1_witness(g, e) == min_scan_lemma1_witness(g, e), e
+                        pairs += 1
+        assert pairs == 10811
 
     def test_class_and_matchings_share_one_blossom_pass(self, monkeypatch):
         # C5 is connected, matching covered and has no perfect matching.

@@ -216,6 +216,24 @@ class TestGraph6:
                 g = random_graph(n, p, seed)
                 assert to_graph6(g) == self.reference_graph6(g), (n, p, seed)
 
+    def test_decode_gives_edges_in_normal_form(self, monkeypatch):
+        # Lexicographic Edge tuples pass Graph's one-pass check as they are,
+        # so the sorting normalization (graph.edge per pair) never runs.
+        from matchcover import graph as graph_mod
+
+        codes = [to_graph6(g) for g in (K4, C6, STAR3, TWO_K2)]
+        codes += [to_graph6(random_graph(n, 0.5, n)) for n in (7, 20, 62)]
+
+        def refuse(u, v):
+            raise AssertionError(f"pair ({u}, {v}) was normalized")
+
+        monkeypatch.setattr(graph_mod, "edge", refuse)
+        for code in codes:
+            g = parse_graph6(code)
+            assert all(type(e) is Edge and e.u < e.v for e in g.edges), code
+            assert list(g.edges) == sorted(set(g.edges)), code
+            assert to_graph6(g) == code
+
     def test_round_trip_exhaustive_n6(self):
         for n in range(7):
             for g in enumerate_labeled_graphs(n):

@@ -54,6 +54,7 @@ from helpers import (
     ReversedPool,
     SerialPool,
     SplitMix64,
+    WorkerFailurePool,
     count_blossom_passes,
     count_builds,
     count_deletion_kernel_runs,
@@ -569,13 +570,52 @@ class TestErrorsDoNotDependOnJobs:
         self.plant(monkeypatch)
         serial = self.disagreement(1)
         assert serial.endswith("graph EBj?")
+        # The pool raises a later chunk's failure first; the serial run that
+        # settles it names the serial graph.
         monkeypatch.setattr(sweep_mod, "Pool", ReversedPool)
         assert self.disagreement(jobs) == serial
 
-        # Chunks that raise in the workers leave the choice to the pool,
-        # which names the failure that finishes first: a later chunk's graph.
-        monkeypatch.setattr(sweep_mod, "_chunk_outcome", sweep_mod._sweep_chunk)
-        assert self.disagreement(jobs) != serial
+    def test_cli_report_is_the_same_at_every_jobs(self, capsys, monkeypatch):
+        # Exit code, stdout and stderr, the traceback included, byte for byte.
+        from matchcover import cli, sweep as sweep_mod
+
+        self.plant(monkeypatch)
+        monkeypatch.setattr(sweep_mod, "Pool", ReversedPool)
+        argv = ["sweep", "--exhaustive", "--max-n", "6", "--properties", "theorem", "--jobs"]
+        runs = {}
+        for jobs in ("1", "2", "4"):
+            code = cli.main(argv + [jobs])
+            runs[jobs] = (code, *capsys.readouterr())
+        code, out, err = runs["1"]
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ") and "graph EBj?" in err
+        assert "Traceback" in err
+        assert runs["2"] == runs["4"] == runs["1"]
+
+    def test_a_failure_in_the_workers_alone_is_raised_after_one_serial_run(
+        self, capsys, monkeypatch
+    ):
+        from matchcover import cli, sweep as sweep_mod
+
+        chunk = sweep_mod._sweep_chunk
+        runs = []
+
+        def counting(args):
+            runs.append(args[1])
+            return chunk(args)
+
+        monkeypatch.setattr(sweep_mod, "_sweep_chunk", counting)
+        monkeypatch.setattr(sweep_mod, "Pool", WorkerFailurePool)
+        cfg = SweepConfig(mode=EXHAUSTIVE_MODE, properties=("theorem",), max_n=4, jobs=2)
+        with pytest.raises(MemoryError, match="planted in the pool's workers"):
+            run_sweep(cfg)
+        assert runs == [range(76)]  # the whole population, once, in this process
+
+        argv = ["sweep", "--exhaustive", "--max-n", "4", "--properties", "theorem", "--jobs", "2"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "MemoryError: planted in the pool's workers" in err
 
 
 class TestOneBuildPerGraph:
