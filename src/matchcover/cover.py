@@ -19,9 +19,9 @@ fast route) and :class:`_OracleFacts` (enumeration only).  The predicates,
 :func:`analyze` and the witnesses read one ``_Facts`` per graph, as the
 sweep's checks do, so ν, the allowed edges, "matching covered", the G - e
 loop, "minimal matching covered" and "has a perfect matching" are each
-defined once.  Only :func:`is_allowed` (one edge) and
-:func:`minimize_with_trace` (which keeps each rejection's proof) run the
-kernel themselves.
+defined once.  :func:`is_allowed`, :func:`minimize_with_trace` (which keeps
+each rejection's proof) and :func:`_dominated_edge` (behind the dominated
+edge and the witness sequence) run the kernel themselves.
 
 The witness operations replay the constructive arguments behind the covered
 predicates: a maximum matching that misses an endpoint of any given edge, a

@@ -17,7 +17,7 @@ and one merge sums them.  The first counterexample is minimal under
 any failure detected by the fast predicates is re-verified against the
 enumeration oracle before it is reported.  An error that stops a sweep is
 the one a serial run raises, traceback included, at any worker count: a
-parallel sweep that fails is settled by running it serially.
+parallel sweep whose chunks fail is settled by running it serially.
 
 Properties:
 
@@ -370,30 +370,20 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
         yield _graph_from_mask(n, mask)
 
 
-def ingest_graph6_stream(
-    reader: IO[str] | Iterable[str], *, policy: str = "strict"
-) -> Iterator[Graph]:
+def ingest_graph6_stream(reader: IO[str] | Iterable[str]) -> Iterator[Graph]:
     """Lazily parse newline-delimited graph6 lines, in input order.
 
-    Blank lines are skipped.  ``policy="strict"`` raises
-    :class:`StreamParseError` naming the offending line; ``policy="skip"``
-    drops malformed lines; any other policy raises ``ValueError`` on the call.
+    Blank lines are skipped; any other line that does not parse (n > 62
+    included) raises :class:`StreamParseError` naming its line number.
     """
-    if policy not in ("strict", "skip"):
-        raise ValueError(f"unknown policy {policy!r}")
-
-    def parsed() -> Iterator[Graph]:
-        for line_number, line in enumerate(reader, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                yield parse_graph6(stripped)
-            except ParseError as exc:
-                if policy == "strict":
-                    raise StreamParseError(line_number, str(exc)) from exc
-
-    return parsed()
+    for line_number, line in enumerate(reader, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            yield parse_graph6(stripped)
+        except ParseError as exc:
+            raise StreamParseError(line_number, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -433,54 +423,51 @@ class _LabeledFacts(_Facts):
         return (table[mask ^ b] >= _COVERED for b in _set_bits(mask))
 
 
-def _check_theorem(facts: _Facts) -> tuple[bool, bool]:
+def _check_theorem(facts: _Facts) -> bool | None:
     # covered first: it rejects most graphs without the minimal-covered fact.
-    in_class = (facts.no_isolated and facts.covered and facts.minimal_covered
-                and bool(facts.g.edges))
-    if not in_class:
-        return False, True
-    return True, facts.perfect
+    if not (facts.no_isolated and facts.covered and facts.minimal_covered
+            and facts.g.edges):
+        return None
+    return facts.perfect
 
 
-def _check_lemma1(facts: _Facts) -> tuple[bool, bool]:
-    in_class = facts.connected and facts.covered and not facts.perfect
-    if not in_class:
-        return False, True
+def _check_lemma1(facts: _Facts) -> bool | None:
+    if not (facts.connected and facts.covered and not facts.perfect):
+        return None
     # The minimum distance over the maximum matchings is 0 iff one of them
     # misses an endpoint, i.e. an endpoint is missed by some matching.
     missed = facts.missed
-    return True, all(e.u in missed or e.v in missed for e in facts.g.edges)
+    return all(e.u in missed or e.v in missed for e in facts.g.edges)
 
 
-def _check_lemma2(facts: _Facts) -> tuple[bool, bool]:
-    in_class = facts.connected and facts.covered and not facts.perfect
-    if not in_class:
-        return False, True
-    return True, len(set(facts.keys)) == len(facts.keys)
+def _check_lemma2(facts: _Facts) -> bool | None:
+    if not (facts.connected and facts.covered and not facts.perfect):
+        return None
+    return len(set(facts.keys)) == len(facts.keys)
 
 
-def _check_corollary(facts: _Facts) -> tuple[bool, bool]:
-    in_class = facts.connected and facts.covered and facts.parts is not None
-    if not in_class:
-        return False, True
+def _check_corollary(facts: _Facts) -> bool | None:
+    if not (facts.connected and facts.covered and facts.parts is not None):
+        return None
     missed = facts.missed
     # The bipartition is an unordered pair, so the implication is checked
     # on both parts.
-    return True, all(part <= missed for part in facts.parts if part & missed)
+    return all(part <= missed for part in facts.parts if part & missed)
 
 
-def _check_oracle_nu(facts: _Facts) -> tuple[bool, bool]:
+def _check_oracle_nu(facts: _Facts) -> bool | None:
     if not within_guard(facts.g):
-        return False, True
-    return True, facts.nu == facts.ms.nu
+        return None
+    return facts.nu == facts.ms.nu
 
 
-def _check_oracle_allowed(facts: _Facts) -> tuple[bool, bool]:
+def _check_oracle_allowed(facts: _Facts) -> bool | None:
     if not within_guard(facts.g):
-        return False, True
-    return True, facts.allowed == facts.ms.allowed
+        return None
+    return facts.allowed == facts.ms.allowed
 
 
+# A check returns None outside its property's hypothesis class, else its verdict.
 _CHECKS = {
     "theorem": _check_theorem,
     "lemma1": _check_lemma1,
@@ -499,13 +486,12 @@ def _reverify_failure(g: Graph, prop: str) -> None:
     The same check is rerun from scratch on :class:`_OracleFacts`, whose
     route members come from enumeration alone.  ``missed`` and ``keys`` come
     from the one enumeration on every route, so for the lemmas only the
-    class is checked again.  A disagreement means the tool itself is broken
-    and raises :class:`RouteDisagreementError`, not a counterexample.
+    class is checked again.  Any answer but ``False`` means the tool itself
+    is broken and raises :class:`RouteDisagreementError`, not a counterexample.
     """
     if prop in ("oracle-nu", "oracle-allowed"):
         return  # these properties *are* route comparisons
-    in_class, passed = _CHECKS[prop](_OracleFacts(g))
-    if not in_class or passed:
+    if _CHECKS[prop](_OracleFacts(g)) is not False:
         raise RouteDisagreementError(
             f"fast path and enumeration oracle disagree on property "
             f"{prop!r} for graph {to_graph6(g)}"
@@ -619,13 +605,13 @@ def _tally_graphs(population: Iterable[_Facts], properties: Sequence[str]) -> _T
         counts["population"] += 1
         for prop in properties:
             try:
-                member, passed = _CHECKS[prop](facts)
+                verdict = _CHECKS[prop](facts)
             except GuardExceededError as exc:
                 raise GuardExceededError(f"{prop} on {to_graph6(facts.g)}: {exc}") from exc
-            if not member:
+            if verdict is None:
                 continue
             counts["in_class", prop] += 1
-            if passed:
+            if verdict:
                 continue
             g = facts.g
             _reverify_failure(g, prop)
@@ -712,10 +698,10 @@ def _sweep(
     """Sweep ``items``, which index ``cfg``'s population, or are the graphs
     themselves when ``cfg`` is ``None``; both public sweeps end here.
 
-    A pool raises whichever chunk's failure arrives first, so a parallel
-    sweep that fails is run again serially: that raises the error a serial
-    run meets first, with its traceback.  A failure the serial run does not
-    meet is re-raised as the pool raised it, never hidden behind a report.
+    A pool starts at most one worker per chunk, and raises at once if it
+    cannot start.  Its ``map`` raises whichever chunk's failure arrives first,
+    so a sweep whose chunks fail is run again serially: that raises the error
+    a serial run meets first, with its traceback, or else the pool's error.
     """
     properties = _checked_selection(properties, jobs)
     start = time.perf_counter()
@@ -724,11 +710,11 @@ def _sweep(
     if jobs > 1 and total > 1:
         step = -(-total // min(total, jobs * 4))  # at most 4 chunks per worker
         chunks = [(cfg, items[lo:lo + step], properties) for lo in range(0, total, step)]
-        try:
-            with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(chunks))) as pool:
+            try:
                 parts = pool.map(_sweep_chunk, chunks)
-        except Exception as exc:
-            failure = exc
+            except Exception as exc:
+                failure = exc
     if parts is None:  # a serial sweep, or a parallel one that failed
         parts = [_sweep_chunk((cfg, items, properties))]
     if failure is not None:  # failed only in the workers
